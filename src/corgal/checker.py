@@ -1,12 +1,22 @@
 """Semantic evaluation: truth sets, pointed checks, witness synthesis.
 
-Truth sets are computed bottom-up with memoisation keyed on (model
-identity, subformula identity); updated models get fresh identities and
-are cached per (parent, extension), so repeated announcements of the same
-set are evaluated once.  Every quantified operator is evaluated on the
-bisimulation contraction of the current model, where each union of
-equivalence classes is the knowledge set of some epistemic formula, and
-the verdict is pulled back through the contraction map.
+An Evaluator keeps its caches per root model, the model object a query
+names.  Every model the semantics visits below a root (the restriction
+after an announcement, the contraction a quantifier works on) is a set of
+the root's states, held as a bitmask S: truth(S, f) is memoised on (S, f)
+and announcing a in M|S leaves S & truth(S, a).  Formula hashes are
+memoised on the nodes, so a key costs O(1) to hash.
+
+The quantified operators range over the joint announcements of a group.
+Their truth sets in M|S are the intersections, over the members, of
+unions of each member's blocks widened to whole bisimulation classes of
+M|S (partition refinement on masks, cached per S).  Each distinct such
+intersection, an extension, is enumerated once, S itself first so that
+silence is the first candidate.  Extensions are unions of bisimulation
+classes, so the operator's clause yields a mask over S directly.  The
+witness for an extension X is its canonical decomposition R_a(X), the
+union of member a's widened blocks that meet X, realised as a formula
+through the characteristic formulas of the contracted model.
 """
 
 from __future__ import annotations
@@ -38,13 +48,14 @@ from .formula import (
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     ChoiceSet,
+    EnumerationCapExceeded,
     EpistemicModel,
     StateSet,
+    block_unions,
     characteristic_formulas,
     choice_sets,
     contract,
     definable_formula,
-    update,
 )
 
 
@@ -54,6 +65,10 @@ class UndeclaredSymbol(Exception):
 
 class NotQuantified(Exception):
     """The operation needs a quantified announcement operator on top."""
+
+
+class WitnessCheckFailed(Exception):
+    """A synthesised witness did not confirm the verdict it was built for."""
 
 
 _QUANTIFIED = (RelGroup, RelGroupDual, Coal, CoalDual)
@@ -94,199 +109,228 @@ class WitnessReport:
 class Evaluator:
     """Shared caches for a batch of queries against related models.
 
-    Pure from the outside; results never depend on query order.  All cache
-    keys use object identity, and every keyed object is pinned so that
-    identities stay unique for the evaluator's lifetime.
+    Pure from the outside; results never depend on query order.  The
+    caches of each model are keyed on the model object itself, which the
+    evaluator keeps for its lifetime.
     """
 
     def __init__(self, cap: int = DEFAULT_ENUMERATION_CAP):
         self.cap = cap
-        self._truth: dict[tuple[int, int], StateSet] = {}
-        self._subs: dict[tuple[int, int], tuple[EpistemicModel, tuple[int, ...]]] = {}
-        self._contr: dict[int, tuple[EpistemicModel, tuple[int, ...]]] = {}
-        self._choices: dict[tuple[int, frozenset[str]], list[ChoiceSet]] = {}
-        self._chars: dict[int, dict[str, Formula]] = {}
-        self._pin: list[object] = []
+        self._roots: dict[EpistemicModel, _Root] = {}
 
     def holds(self, model: EpistemicModel, state: str, f: Formula) -> bool:
         return bool(self.truth_set(model, f) >> model.state_index(state) & 1)
 
     def truth_set(self, model: EpistemicModel, f: Formula) -> StateSet:
-        key = (id(model), id(f))
-        hit = self._truth.get(key)
-        if hit is not None:
-            return hit
-        mask = self._compute(model, f)
-        self._truth[key] = mask
-        self._pin.append(f)
-        self._pin.append(model)
-        return mask
+        root = self._roots.get(model)
+        if root is None:
+            root = self._roots[model] = _Root(model, self.cap)
+        return root.truth(model.full, f)
 
-    def _compute(self, model: EpistemicModel, f: Formula) -> StateSet:
-        full = model.full
+
+class _Root:
+    """The caches of one root model; every state set is a mask over it."""
+
+    def __init__(self, model: EpistemicModel, cap: int):
+        self.model = model
+        self.cap = cap
+        self._truth: dict[tuple[StateSet, Formula], StateSet] = {}
+        self._saturated: dict[StateSet, dict[str, tuple[StateSet, ...]]] = {}
+        self._extensions: dict[tuple[StateSet, frozenset[str]], list[StateSet]] = {}
+
+    def truth(self, domain: StateSet, f: Formula) -> StateSet:
+        """States of `domain` where f holds in the model restricted to it."""
+        key = (domain, f)
+        hit = self._truth.get(key)
+        if hit is None:
+            hit = self._truth[key] = self._compute(domain, f)
+        return hit
+
+    def _compute(self, domain: StateSet, f: Formula) -> StateSet:
+        model = self.model
         if isinstance(f, Atom):
             try:
-                return model.valuation_mask(f.name)
+                return model.valuation_mask(f.name) & domain
             except KeyError:
                 raise UndeclaredSymbol(f"unknown atom {f.name!r}") from None
         if isinstance(f, Top):
-            return full
+            return domain
         if isinstance(f, Bot):
             return 0
         if isinstance(f, Not):
-            return full & ~self.truth_set(model, f.sub)
+            return domain & ~self.truth(domain, f.sub)
         if isinstance(f, And):
-            return self.truth_set(model, f.left) & self.truth_set(model, f.right)
+            return self.truth(domain, f.left) & self.truth(domain, f.right)
         if isinstance(f, Or):
-            return self.truth_set(model, f.left) | self.truth_set(model, f.right)
+            return self.truth(domain, f.left) | self.truth(domain, f.right)
         if isinstance(f, Imp):
-            return (full & ~self.truth_set(model, f.left)) | self.truth_set(model, f.right)
+            return (domain & ~self.truth(domain, f.left)) | self.truth(domain, f.right)
         if isinstance(f, Iff):
-            return full & ~(self.truth_set(model, f.left) ^ self.truth_set(model, f.right))
+            return domain & ~(self.truth(domain, f.left) ^ self.truth(domain, f.right))
         if isinstance(f, Know):
-            t = self.truth_set(model, f.sub)
+            t = self.truth(domain, f.sub)
             mask = 0
             for block in model.blocks(f.agent):
+                block &= domain
                 if block & ~t == 0:
                     mask |= block
             return mask
         if isinstance(f, KnowDual):
-            t = self.truth_set(model, f.sub)
+            t = self.truth(domain, f.sub)
             mask = 0
             for block in model.blocks(f.agent):
+                block &= domain
                 if block & t:
                     mask |= block
             return mask
         if isinstance(f, Ann):
-            s = self.truth_set(model, f.ann)
+            s = self.truth(domain, f.ann)
             if s == 0:
-                return full
-            return (full & ~s) | self._after(model, s, f.sub)
+                return domain
+            return (domain & ~s) | self.truth(s, f.sub)
         if isinstance(f, AnnDual):
-            s = self.truth_set(model, f.ann)
-            if s == 0:
-                return 0
-            return self._after(model, s, f.sub)
+            s = self.truth(domain, f.ann)
+            return self.truth(s, f.sub) if s else 0
         if isinstance(f, _QUANTIFIED):
-            return self._quantified(model, f)
+            return self._quantified(domain, f)
         raise TypeError(f"not a formula: {f!r}")
 
-    def _after(self, model: EpistemicModel, extension: StateSet, sub: Formula) -> StateSet:
-        """States of `extension` satisfying `sub` once the model is
-        restricted to `extension` (as a mask over the parent model)."""
-        submodel, embed = self.submodel(model, extension)
-        t = self.truth_set(submodel, sub)
-        mask = 0
-        j = 0
-        while t:
-            if t & 1:
-                mask |= embed[j]
-            t >>= 1
-            j += 1
-        return mask
+    def saturated(self, domain: StateSet) -> dict[str, tuple[StateSet, ...]]:
+        """Each agent's blocks of M|domain, widened to whole bisimulation
+        classes of M|domain, ordered by their lowest state.
 
-    def submodel(
-        self, model: EpistemicModel, extension: StateSet
-    ) -> tuple[EpistemicModel, tuple[int, ...]]:
-        key = (id(model), extension)
-        hit = self._subs.get(key)
+        These are the blocks of the contracted M|domain, pulled back; the
+        widened blocks of one agent stay disjoint.
+        """
+        hit = self._saturated.get(domain)
         if hit is not None:
             return hit
-        sub = update(model, extension)
-        embed = tuple(1 << model.state_index(name) for name in sub.states)
-        self._subs[key] = (sub, embed)
-        self._pin.append(model)
-        return sub, embed
+        model = self.model
+        blocks = {
+            a: [b & domain for b in model.blocks(a) if b & domain] for a in model.agents
+        }
+        classes = [domain]
+        for atom in model.atoms:
+            v = model.valuation_mask(atom)
+            classes = [part for c in classes for part in (c & v, c & ~v) if part]
+        while True:
+            refined = classes
+            for agent_blocks in blocks.values():
+                # states whose block meets the same classes stay together
+                regions: dict[int, StateSet] = {}
+                for b in agent_blocks:
+                    met = 0
+                    for i, c in enumerate(refined):
+                        if c & b:
+                            met |= 1 << i
+                    regions[met] = regions.get(met, 0) | b
+                refined = [part for c in refined for r in regions.values() if (part := c & r)]
+            if len(refined) == len(classes):
+                break
+            classes = refined
+        hit = {}
+        for agent, agent_blocks in blocks.items():
+            widened = set()
+            for b in agent_blocks:
+                union = 0
+                for c in classes:
+                    if c & b:
+                        union |= c
+                widened.add(union)
+            hit[agent] = tuple(sorted(widened, key=lambda u: u & -u))
+        self._saturated[domain] = hit
+        return hit
 
-    def contraction(self, model: EpistemicModel) -> tuple[EpistemicModel, tuple[int, ...]]:
-        """Contracted model plus the index map old state -> quotient state."""
-        hit = self._contr.get(id(model))
+    def extensions(self, domain: StateSet, group: frozenset[str]) -> list[StateSet]:
+        """The distinct non-empty truth sets, in M|domain, of the joint
+        announcements of `group`: domain (silence) first, then in the
+        order of their first decomposition in choice_sets()."""
+        key = (domain, group)
+        hit = self._extensions.get(key)
         if hit is not None:
             return hit
-        quotient, mapping = contract(model)
-        harr = tuple(quotient.state_index(mapping[name]) for name in model.states)
-        self._contr[id(model)] = (quotient, harr)
-        self._pin.append(model)
-        return quotient, harr
+        members = [a for a in self.model.agents if a in group]
+        if len(members) != len(group):
+            unknown = sorted(group - set(self.model.agents))[0]
+            raise UndeclaredSymbol(f"unknown agent {unknown!r}")
+        saturated = self.saturated(domain)
+        found = [domain]
+        for agent in members:
+            n_unions = (1 << len(saturated[agent])) - 1
+            if n_unions > self.cap:
+                raise EnumerationCapExceeded(n_unions, self.cap)
+            unions = block_unions(saturated[agent])
+            seen: dict[StateSet, None] = {}
+            for e in found:
+                seen.update(dict.fromkeys([e & u for u in unions]))
+                seen.pop(0, None)
+                if len(seen) > self.cap:
+                    raise EnumerationCapExceeded(len(seen), self.cap)
+            found = list(seen)
+        self._extensions[key] = found
+        return found
 
-    def choices(self, model: EpistemicModel, group: frozenset[str]) -> list[ChoiceSet]:
-        key = (id(model), group)
-        hit = self._choices.get(key)
-        if hit is None:
-            hit = choice_sets(model, group, cap=self.cap)
-            self._choices[key] = hit
-            self._pin.append(model)
-        return hit
+    def decomposition(
+        self, domain: StateSet, group: frozenset[str], extension: StateSet
+    ) -> tuple[tuple[str, StateSet], ...]:
+        """R_a(extension) for each member a, in model order: the union of
+        a's widened blocks that meet the extension.  Their intersection
+        is the extension."""
+        saturated = self.saturated(domain)
+        return tuple(
+            (a, sum(u for u in saturated[a] if u & extension))
+            for a in self.model.agents
+            if a in group
+        )
 
-    def characteristics(self, model: EpistemicModel) -> dict[str, Formula]:
-        hit = self._chars.get(id(model))
-        if hit is None:
-            hit = characteristic_formulas(model)
-            self._chars[id(model)] = hit
-            self._pin.append(model)
-        return hit
-
-    def _quantified(self, model: EpistemicModel, f: Formula) -> StateSet:
-        quotient, harr = self.contraction(model)
-        full = quotient.full
+    def _quantified(self, domain: StateSet, f: Formula) -> StateSet:
         if isinstance(f, (RelGroup, RelGroupDual)):
-            chi = self.truth_set(quotient, f.cond)
-            options = self.choices(quotient, f.group)
+            chi = self.truth(domain, f.cond)
+            options = self.extensions(domain, f.group)
             if isinstance(f, RelGroup):
                 res = chi
                 for c in options:
                     if res == 0:
                         break
-                    x = c.extension & chi
-                    if x == 0:
-                        continue
-                    res &= ~x | self._after(quotient, x, f.sub)
-            else:
-                some = 0
-                for c in options:
-                    x = c.extension & chi
+                    x = c & chi
                     if x:
-                        some |= self._after(quotient, x, f.sub)
-                res = (full & ~chi) | some
-        else:
-            options = self.choices(quotient, f.group)
-            responses = self.choices(quotient, frozenset(quotient.agents) - f.group)
-            if isinstance(f, Coal):
-                res = full
-                for c in options:
-                    if res == 0:
-                        break
-                    if c.extension == 0:
-                        continue
-                    good = 0
-                    for d in responses:
-                        x = c.extension & d.extension
-                        if x:
-                            good |= self._after(quotient, x, f.sub)
-                    res &= ~c.extension | good
-            else:
-                res = 0
-                for c in options:
-                    if res == full:
-                        break
-                    if c.extension == 0:
-                        continue
-                    acc = c.extension
-                    for d in responses:
-                        if acc == 0:
-                            break
-                        x = c.extension & d.extension
-                        part = ~d.extension
-                        if x:
-                            part |= self._after(quotient, x, f.sub)
-                        acc &= part
-                    res |= acc
-        # pull the quotient-level verdict back through the contraction map
-        lifted = 0
-        for i, h in enumerate(harr):
-            if res >> h & 1:
-                lifted |= 1 << i
-        return lifted
+                        res &= ~x | self.truth(x, f.sub)
+                return res
+            some = 0
+            for c in options:
+                x = c & chi
+                if x:
+                    some |= self.truth(x, f.sub)
+            return (domain & ~chi) | some
+        options = self.extensions(domain, f.group)
+        responses = self.extensions(domain, frozenset(self.model.agents) - f.group)
+        if isinstance(f, Coal):
+            res = domain
+            for c in options:
+                if res == 0:
+                    break
+                good = 0
+                for d in responses:
+                    x = c & d
+                    if x:
+                        good |= self.truth(x, f.sub)
+                res &= ~c | good
+            return res
+        res = 0
+        for c in options:
+            if res == domain:
+                break
+            acc = c
+            for d in responses:
+                if acc == 0:
+                    break
+                x = c & d
+                part = ~d
+                if x:
+                    part |= self.truth(x, f.sub)
+                acc &= part
+            res |= acc
+        return res
 
 
 def truth_set(model: EpistemicModel, f: Formula, cap: int = DEFAULT_ENUMERATION_CAP) -> StateSet:
@@ -303,13 +347,28 @@ def evaluate(
     return Evaluator(cap=cap).holds(model, state, f)
 
 
-def _decomposition_text(quotient: EpistemicModel, c: ChoiceSet) -> str:
-    if not c.per_agent_union:
-        return "{} -> " + "{" + ",".join(quotient.states_in(c.extension)) + "}"
-    parts = [
-        f"{agent}:{{{','.join(quotient.states_in(mask))}}}" for agent, mask in c.per_agent_union
-    ]
-    return " ".join(parts) + " -> {" + ",".join(quotient.states_in(c.extension)) + "}"
+def _decomposition_text(
+    model: EpistemicModel, parts: tuple[tuple[str, StateSet], ...], extension: StateSet
+) -> str:
+    target = "{" + ",".join(model.states_in(extension)) + "}"
+    if not parts:
+        return "{} -> " + target
+    return " ".join(f"{a}:{{{','.join(model.states_in(mask))}}}" for a, mask in parts) + " -> " + target
+
+
+def _witness(
+    model: EpistemicModel, parts: tuple[tuple[str, StateSet], ...], extension: StateSet
+) -> GroupKnowledgeFormula:
+    """The joint announcement whose members' knowledge sets are `parts`."""
+    quotient, mapping = contract(model)
+
+    def image(mask: StateSet) -> StateSet:
+        return quotient.state_mask({mapping[s] for s in model.states_in(mask)})
+
+    choice = ChoiceSet(
+        tuple(a for a, _ in parts), tuple((a, image(mask)) for a, mask in parts), image(extension)
+    )
+    return definable_formula(quotient, choice, characteristic_formulas(quotient))
 
 
 def evaluate_witness(
@@ -320,31 +379,36 @@ def evaluate_witness(
 
     A witness exists when the verdict hinges on one choice: an existential
     that succeeds, or a universal refuted by a specific announcement.
-    Vacuous verdicts (condition false at the point) carry none.
+    Vacuous verdicts (condition false at the point) carry none.  The trace
+    has one entry per distinct extension containing the point, shown with
+    its decomposition R_a(X).
     """
     if not isinstance(f, _QUANTIFIED):
         raise NotQuantified("the outermost operator is not a quantified announcement")
     check_symbols(model, f)
-    ev = Evaluator(cap=cap)
-    quotient, harr = ev.contraction(model)
-    v = harr[model.state_index(state)]
-    vbit = 1 << v
+    root = _Root(model, cap)
+    full = model.full
+    vbit = 1 << model.state_index(state)
     trace: list[TraceEntry] = []
-    chosen: ChoiceSet | None = None
+    chosen: StateSet | None = None
+
+    def entry(op: str, extension: StateSet, verdict: bool) -> None:
+        parts = root.decomposition(full, f.group, extension)
+        trace.append(TraceEntry(op, _decomposition_text(model, parts, extension), verdict))
 
     if isinstance(f, (RelGroup, RelGroupDual)):
         op = "[G,chi]" if isinstance(f, RelGroup) else "<G,chi>"
-        chi = ev.truth_set(quotient, f.cond)
+        chi = root.truth(full, f.cond)
         chi_here = bool(chi & vbit)
-        first_fail: ChoiceSet | None = None
-        first_ok: ChoiceSet | None = None
+        first_fail: StateSet | None = None
+        first_ok: StateSet | None = None
         if chi_here:
-            for c in ev.choices(quotient, f.group):
-                x = c.extension & chi
+            for c in root.extensions(full, f.group):
+                x = c & chi
                 if not (x & vbit):
                     continue
-                sub_ok = bool(ev._after(quotient, x, f.sub) & vbit)
-                trace.append(TraceEntry(op, _decomposition_text(quotient, c), sub_ok))
+                sub_ok = bool(root.truth(x, f.sub) & vbit)
+                entry(op, c, sub_ok)
                 if sub_ok and first_ok is None:
                     first_ok = c
                 if not sub_ok and first_fail is None:
@@ -359,27 +423,19 @@ def evaluate_witness(
                 chosen = first_ok
     else:
         op = "[<G>]" if isinstance(f, Coal) else "<[G]>"
-        responses = [
-            d for d in ev.choices(quotient, frozenset(quotient.agents) - f.group)
-            if d.extension & vbit
-        ]
+        others = frozenset(model.agents) - f.group
+        responses = [d for d in root.extensions(full, others) if d & vbit]
         verdict = isinstance(f, Coal)
-        for c in ev.choices(quotient, f.group):
-            if not (c.extension & vbit):
+        for c in root.extensions(full, f.group):
+            if not (c & vbit):
                 continue
             if isinstance(f, Coal):
                 # does some simultaneous response rescue f.sub?
-                entry_ok = any(
-                    ev._after(quotient, c.extension & d.extension, f.sub) & vbit
-                    for d in responses
-                )
+                entry_ok = any(root.truth(c & d, f.sub) & vbit for d in responses)
             else:
                 # does f.sub survive every simultaneous response?
-                entry_ok = all(
-                    ev._after(quotient, c.extension & d.extension, f.sub) & vbit
-                    for d in responses
-                )
-            trace.append(TraceEntry(op, _decomposition_text(quotient, c), entry_ok))
+                entry_ok = all(root.truth(c & d, f.sub) & vbit for d in responses)
+            entry(op, c, entry_ok)
             if isinstance(f, Coal) and not entry_ok and chosen is None:
                 verdict = False
                 chosen = c
@@ -391,7 +447,7 @@ def evaluate_witness(
     recheck: Formula | None = None
     expected: bool | None = None
     if chosen is not None:
-        witness = definable_formula(quotient, chosen, ev.characteristics(quotient))
+        witness = _witness(model, root.decomposition(full, f.group, chosen), chosen)
         den = witness.denotation()
         if isinstance(f, RelGroup):
             recheck, expected = Ann(And(den, f.cond), f.sub), False
@@ -418,12 +474,13 @@ def evaluate_coalition_alt(
     if not isinstance(f, (Coal, CoalDual)):
         raise NotQuantified("the outermost operator is not a coalition announcement")
     check_symbols(model, f)
-    ev = Evaluator(cap=cap)
-    quotient, harr = ev.contraction(model)
-    v = quotient.states[harr[model.state_index(state)]]
+    quotient, mapping = contract(model)
+    model.state_index(state)  # rejects an unknown state
+    v = mapping[state]
     others = frozenset(quotient.agents) - f.group
-    chars = ev.characteristics(quotient)
-    options = ev.choices(quotient, f.group)
+    chars = characteristic_formulas(quotient)
+    options = choice_sets(quotient, f.group, cap=cap)
+    ev = Evaluator(cap=cap)
     if isinstance(f, Coal):
         return all(
             ev.holds(

@@ -1,18 +1,21 @@
 """Command line front end.
 
 Exit codes: 0 success or true verdict, 1 false verdict, 2 input error,
-3 enumeration cap exceeded, 4 suite failure.  Reports go to stdout,
-diagnostics to stderr.
+3 enumeration cap exceeded, 4 suite failure, 5 internal error (a bug:
+an unexpected exception, or a witness that failed its self-check).
+Reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .checker import (
     NotQuantified,
     UndeclaredSymbol,
+    WitnessCheckFailed,
     evaluate,
     evaluate_witness,
 )
@@ -34,6 +37,12 @@ EXIT_FALSE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
 EXIT_SUITE_FAILURE = 4
+EXIT_INTERNAL_ERROR = 5
+
+_CAP_HELP = (
+    "most distinct group extensions one quantifier may enumerate "
+    f"(default {DEFAULT_ENUMERATION_CAP})"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,14 +56,14 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--model", required=True, help="path to a model document")
     check.add_argument("--state", help="evaluation state (default: the designated state)")
     check.add_argument("--formula", help="formula text (default: read from stdin)")
-    check.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    check.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help=_CAP_HELP)
     check.add_argument("--trace", action="store_true", help="print the quantifier trace")
 
     witness = sub.add_parser("witness", help="evaluate a quantified formula and print the witness")
     witness.add_argument("--model", required=True)
     witness.add_argument("--state")
     witness.add_argument("--formula")
-    witness.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    witness.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help=_CAP_HELP)
 
     contract_cmd = sub.add_parser("contract", help="write the bisimulation contraction")
     contract_cmd.add_argument("--model", required=True)
@@ -68,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--seed", type=int, default=0)
     suite.add_argument("--count", type=int, help="number of sampled models")
     suite.add_argument("--max-states", type=int, dest="max_states")
-    suite.add_argument("--cap", type=int)
+    suite.add_argument("--cap", type=int, help=_CAP_HELP)
     return parser
 
 
@@ -122,7 +131,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if report.recheck is not None:
         rechecked = evaluate(model, state, report.recheck, cap=args.cap)
         if rechecked != report.recheck_expected:
-            raise AssertionError("witness self-check failed")
+            raise WitnessCheckFailed("witness self-check failed")
     print("true" if report.verdict else "false")
     if report.witness is not None:
         print(f"witness: {render_formula(report.witness.denotation())}")
@@ -195,6 +204,13 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
+    except WitnessCheckFailed as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    except Exception:  # a bug must not exit 1, which means "false"
+        traceback.print_exc()
+        print("internal error: unexpected exception (see the traceback above)", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

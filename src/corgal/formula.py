@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import reduce
+from typing import Iterator
 
 
 class Stratum(enum.IntEnum):
@@ -24,13 +25,31 @@ class Stratum(enum.IntEnum):
     CORGAL = 3   # adds coalition announcements
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Formula:
     """Base class for all formula nodes.
 
     Supports ~f, f & g, f | g and f >> g (implication) as construction
-    shorthand.
+    shorthand.  Equality is structural.  Each node computes its hash once
+    and keeps it, so hashing a formula costs O(1) after the first time
+    even when it shares subterms, as witnesses built from characteristic
+    formulas do.
     """
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((type(self), *(getattr(self, n) for n in self.__match_args__)))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return _equal(self, other)
 
     def __invert__(self) -> "Formula":
         return Not(self)
@@ -50,57 +69,57 @@ class Formula:
         return render_formula(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Know(Formula):
     agent: str
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnowDual(Formula):
     """Possibility dual of Know; no concrete syntax of its own."""
 
@@ -108,7 +127,7 @@ class KnowDual(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ann(Formula):
     """Public announcement box: after truthfully announcing `ann`, `sub`."""
 
@@ -116,13 +135,13 @@ class Ann(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnnDual(Formula):
     ann: Formula
     sub: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelGroup(Formula):
     """Relativised group announcement box over the agents in `group`."""
 
@@ -134,7 +153,7 @@ class RelGroup(Formula):
         object.__setattr__(self, "group", frozenset(self.group))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelGroupDual(Formula):
     group: frozenset[str]
     cond: Formula
@@ -144,7 +163,7 @@ class RelGroupDual(Formula):
         object.__setattr__(self, "group", frozenset(self.group))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coal(Formula):
     """Coalition announcement box: every announcement by `group` can be
     countered by the remaining agents so that `sub` holds."""
@@ -156,7 +175,7 @@ class Coal(Formula):
         object.__setattr__(self, "group", frozenset(self.group))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoalDual(Formula):
     group: frozenset[str]
     sub: Formula
@@ -169,23 +188,65 @@ TOP = Top()
 BOT = Bot()
 
 
+def _equal(f: Formula, g: Formula) -> bool:
+    """Structural equality without recursion, each pair of shared
+    subterms compared once."""
+    compared: set[tuple[int, int]] = set()
+    stack = [(f, g)]
+    while stack:
+        a, b = stack.pop()
+        if a is b or (id(a), id(b)) in compared:
+            continue
+        if type(a) is not type(b) or hash(a) != hash(b):
+            return False
+        compared.add((id(a), id(b)))
+        for name in a.__match_args__:
+            x, y = getattr(a, name), getattr(b, name)
+            if isinstance(x, Formula):
+                stack.append((x, y))
+            elif x != y:
+                return False
+    return True
+
+
+def _children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (Atom, Top, Bot)):
+        return ()
+    if isinstance(f, (Not, Know, KnowDual, Coal, CoalDual)):
+        return (f.sub,)
+    if isinstance(f, (And, Or, Imp, Iff)):
+        return (f.left, f.right)
+    if isinstance(f, (Ann, AnnDual)):
+        return (f.ann, f.sub)
+    if isinstance(f, (RelGroup, RelGroupDual)):
+        return (f.cond, f.sub)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _subformulas(f: Formula) -> Iterator[Formula]:
+    """Every node of f, each shared subterm once, without recursion."""
+    seen = {id(f)}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        for child in _children(g):
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
+
+
 def stratum(f: Formula) -> Stratum:
     """Least sublanguage containing f; duals classify with their primitive."""
-    if isinstance(f, (Atom, Top, Bot)):
-        return Stratum.EL
-    if isinstance(f, Not):
-        return stratum(f.sub)
-    if isinstance(f, (And, Or, Imp, Iff)):
-        return max(stratum(f.left), stratum(f.right))
-    if isinstance(f, (Know, KnowDual)):
-        return stratum(f.sub)
-    if isinstance(f, (Ann, AnnDual)):
-        return max(Stratum.PAL, stratum(f.ann), stratum(f.sub))
-    if isinstance(f, (RelGroup, RelGroupDual)):
-        return max(Stratum.RGAL, stratum(f.cond), stratum(f.sub))
-    if isinstance(f, (Coal, CoalDual)):
-        return max(Stratum.CORGAL, stratum(f.sub))
-    raise TypeError(f"not a formula: {f!r}")
+    level = Stratum.EL
+    for g in _subformulas(f):
+        if isinstance(g, (Coal, CoalDual)):
+            return Stratum.CORGAL
+        if isinstance(g, (RelGroup, RelGroupDual)):
+            level = Stratum.RGAL
+        elif isinstance(g, (Ann, AnnDual)) and level < Stratum.PAL:
+            level = Stratum.PAL
+    return level
 
 
 def desugar(f: Formula) -> Formula:
@@ -423,27 +484,10 @@ def atoms_in(f: Formula) -> frozenset[str]:
 
 
 def _collect(f: Formula, agents: set[str], atoms: set[str]) -> None:
-    if isinstance(f, Atom):
-        atoms.add(f.name)
-    elif isinstance(f, (Top, Bot)):
-        pass
-    elif isinstance(f, Not):
-        _collect(f.sub, agents, atoms)
-    elif isinstance(f, (And, Or, Imp, Iff)):
-        _collect(f.left, agents, atoms)
-        _collect(f.right, agents, atoms)
-    elif isinstance(f, (Know, KnowDual)):
-        agents.add(f.agent)
-        _collect(f.sub, agents, atoms)
-    elif isinstance(f, (Ann, AnnDual)):
-        _collect(f.ann, agents, atoms)
-        _collect(f.sub, agents, atoms)
-    elif isinstance(f, (RelGroup, RelGroupDual)):
-        agents.update(f.group)
-        _collect(f.cond, agents, atoms)
-        _collect(f.sub, agents, atoms)
-    elif isinstance(f, (Coal, CoalDual)):
-        agents.update(f.group)
-        _collect(f.sub, agents, atoms)
-    else:
-        raise TypeError(f"not a formula: {f!r}")
+    for g in _subformulas(f):
+        if isinstance(g, Atom):
+            atoms.add(g.name)
+        elif isinstance(g, (Know, KnowDual)):
+            agents.add(g.agent)
+        elif isinstance(g, (RelGroup, RelGroupDual, Coal, CoalDual)):
+            agents.update(g.group)

@@ -34,12 +34,14 @@ DEFAULT_ENUMERATION_CAP = 10**6
 
 
 class EnumerationCapExceeded(Exception):
-    """Raised instead of silently truncating a choice-set enumeration."""
+    """Raised instead of silently truncating an enumeration of group
+    announcements.  The evaluator counts distinct group extensions;
+    choice_sets() counts decompositions."""
 
-    def __init__(self, requested: int, cap: int):
+    def __init__(self, requested: int, cap: int, unit: str = "distinct group extensions"):
         self.requested = requested
         self.cap = cap
-        super().__init__(f"{requested} choice-set decompositions exceed the cap of {cap}")
+        super().__init__(f"{requested} {unit} exceed the cap of {cap}")
 
 
 class EpistemicModel:
@@ -293,15 +295,17 @@ def agent_unions(model: EpistemicModel, agent: str) -> list[StateSet]:
     comes first) so that witness search is deterministic and prefers
     silence.
     """
-    blocks = model.blocks(agent)
-    k = len(blocks)
-    out = []
-    for subset in range((1 << k) - 1, 0, -1):
-        mask = 0
-        for i in _bits(subset):
-            mask |= blocks[i]
-        out.append(mask)
-    return out
+    return block_unions(model.blocks(agent))
+
+
+def block_unions(blocks: Sequence[StateSet]) -> list[StateSet]:
+    """All non-empty unions of the given disjoint blocks, by subset
+    bitmask (bit i = blocks[i]) descending, so the union of all comes
+    first."""
+    unions = [0]
+    for b in blocks:
+        unions += [u | b for u in unions]
+    return unions[:0:-1]
 
 
 @dataclass(frozen=True)
@@ -341,7 +345,7 @@ def choice_sets(
     for options in per_agent:
         total *= len(options)
     if total > cap:
-        raise EnumerationCapExceeded(total, cap)
+        raise EnumerationCapExceeded(total, cap, "choice-set decompositions")
     out = []
     for combo in product(*per_agent):
         extension = model.full

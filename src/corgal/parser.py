@@ -37,6 +37,11 @@ from .model import EpistemicModel
 NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 RESERVED = frozenset({"top", "bot"})
 
+# Operators and parentheses may nest this deep.  The parser and the
+# evaluator recurse once or a few times per level, and this bound keeps
+# them well inside Python's default recursion limit.
+MAX_NESTING = 100
+
 _SYMBOLS = ("<->", "->", "[", "]", "<", ">", "{", "}", "(", ")", ",", "~", "&", "|", "!")
 
 
@@ -105,6 +110,7 @@ class _Parser:
         self.text = text
         self.tokens = _lex(text)
         self.pos = 0
+        self.nesting = 0
 
     def _peek(self, ahead: int = 0) -> _Token | None:
         i = self.pos + ahead
@@ -157,10 +163,13 @@ class _Parser:
         return f
 
     def _imp(self) -> Formula:
-        f = self._or()
-        if self._at("->"):
+        operands = [self._or()]
+        while self._at("->"):
             self._advance()
-            return Imp(f, self._imp())
+            operands.append(self._or())
+        f = operands.pop()
+        while operands:
+            f = Imp(operands.pop(), f)
         return f
 
     def _or(self) -> Formula:
@@ -182,6 +191,23 @@ class _Parser:
         if tok is None:
             line, col = self._here()
             raise ParseError("unexpected end of input", line, col, expected=("a formula",))
+        if tok.is_name:
+            self._advance()
+            if tok.text == "top":
+                return Top()
+            if tok.text == "bot":
+                return Bot()
+            return Atom(tok.text)
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(
+                f"formula nests deeper than {MAX_NESTING} levels", tok.line, tok.column
+            )
+        f = self._operator(tok)
+        self.nesting -= 1
+        return f
+
+    def _operator(self, tok: _Token) -> Formula:
         if tok.text == "~":
             self._advance()
             return Not(self._unary())
@@ -198,13 +224,6 @@ class _Parser:
             f = self._iff()
             self._expect(")")
             return f
-        if tok.is_name:
-            self._advance()
-            if tok.text == "top":
-                return Top()
-            if tok.text == "bot":
-                return Bot()
-            return Atom(tok.text)
         raise ParseError(
             f"found {tok.text!r}", tok.line, tok.column,
             expected=("'~'", "'K'", "'['", "'<'", "'('", "an atom"),

@@ -51,6 +51,7 @@ from .model import (
     EpistemicModel,
     StateSet,
     random_model,
+    update,
 )
 from .parser import parse_formula, parse_model, render_formula, render_model
 from .translate import pal_to_el
@@ -531,8 +532,7 @@ def _witness_through_form(
                 return _witness_through_form(ev, model, name, nf.body, inner)
         raise AssertionError("knowledge context was not actually refuted")
     if isinstance(nf, NfAnn):
-        extension = ev.truth_set(model, nf.ann)
-        submodel, _ = ev.submodel(model, extension)
+        submodel = update(model, ev.truth_set(model, nf.ann))
         return _witness_through_form(ev, submodel, state, nf.body, inner)
     raise TypeError(f"not a necessity form: {nf!r}")
 

@@ -10,6 +10,7 @@ from corgal import (
     CoalDual,
     EnumerationCapExceeded,
     EpistemicModel,
+    Evaluator,
     Know,
     Not,
     NotQuantified,
@@ -25,6 +26,7 @@ from corgal import (
     parse_formula,
     random_model,
     truth_set,
+    update,
 )
 from corgal.validity import _gen
 
@@ -208,6 +210,14 @@ class TestWitnesses:
         assert report.verdict
         assert truth_set(train, report.witness.denotation()) == train.full
 
+    def test_trace_lists_each_extension_once_silence_first(self, counterexample):
+        report = evaluate_witness(
+            counterexample, "pqr", parse_formula(f"<[{{a,b}}]> ({GOAL})")
+        )
+        targets = [entry.decomposition.split(" -> ")[1] for entry in report.trace]
+        assert len(targets) == len(set(targets)) == 8
+        assert targets[0] == "{" + ",".join(counterexample.states) + "}"
+
     def test_vacuous_group_box_failure_has_no_witness(self, train):
         # condition is false at w, so the box fails without a refuting choice
         report = evaluate_witness(train, "w", RelGroup({"a"}, p, Not(p)))
@@ -238,11 +248,36 @@ class TestWitnesses:
         assert checked > 10
 
 
+class TestEvaluatorReuse:
+    def test_short_lived_formulas_and_models(self):
+        # formulas and restricted models are built and dropped in the loop,
+        # so their ids get reused; a cache keyed on ids alone would mix
+        # up queries
+        rng = random.Random(7)
+        ev = Evaluator()
+        models = [random_model(seed, rng.randint(2, 5), 3, 2) for seed in range(6)]
+        for i in range(400):
+            m = models[i % len(models)]
+            if i % 3 == 0:
+                m = update(m, rng.randrange(1, m.full + 1))
+            f = _gen(rng, Stratum.CORGAL, 3, m.atoms, m.agents)
+            w = rng.choice(m.states)
+            assert ev.holds(m, w, f) == evaluate(m, w, f)
+            assert ev.truth_set(m, f) == truth_set(m, f)
+
+
 class TestCap:
     def test_cap_propagates(self, counterexample):
         f = parse_formula(f"<[{{a,b}}]> ({GOAL})")
         with pytest.raises(EnumerationCapExceeded):
             evaluate(counterexample, "pqr", f, cap=5)
+
+    def test_cap_counts_distinct_extensions(self, counterexample):
+        # {a,b} has 49 decompositions but 13 distinct extensions
+        f = parse_formula(f"<[{{a,b}}]> ({GOAL})")
+        assert evaluate(counterexample, "pqr", f, cap=13)
+        with pytest.raises(EnumerationCapExceeded, match="distinct group extensions"):
+            evaluate(counterexample, "pqr", f, cap=12)
 
     def test_generous_cap_is_fine(self, counterexample):
         f = parse_formula(f"<[{{a,b}}]> ({GOAL})")

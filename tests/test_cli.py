@@ -72,6 +72,12 @@ class TestCheck:
         assert code == 0
         assert capsys.readouterr().out.strip() == "true"
 
+    @pytest.mark.parametrize("formula", ["(" * 300 + "p" + ")" * 300, "~" * 600 + "p"])
+    def test_deep_nesting_is_an_input_error(self, train_path, capsys, formula):
+        code = main(["check", "--model", train_path, "--formula", formula])
+        assert code == 2
+        assert "nests deeper" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, counter_path, capsys):
         args = ["check", "--model", counter_path, "--state", "pqr", "--trace",
                 "--formula", f"<[{{a,b}}]> ({GOAL})"]
@@ -102,6 +108,25 @@ class TestWitness:
         code = main(["witness", "--model", train_path, "--state", "w",
                      "--formula", "K a ~p"])
         assert code == 2
+
+
+class TestInternalErrors:
+    def test_unexpected_exception_exits_5(self, train_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("corgal.cli.evaluate", broken)
+        code = main(["check", "--model", train_path, "--formula", "p"])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "RuntimeError: boom" in err and "internal error" in err
+
+    def test_failed_witness_self_check_exits_5(self, counter_path, capsys, monkeypatch):
+        monkeypatch.setattr("corgal.cli.evaluate", lambda *args, **kwargs: None)
+        code = main(["witness", "--model", counter_path, "--state", "pqr",
+                     "--formula", f"<[{{a,b}}]> ({GOAL})"])
+        assert code == 5
+        assert "witness self-check failed" in capsys.readouterr().err
 
 
 class TestContract:

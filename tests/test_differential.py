@@ -1,0 +1,216 @@
+"""evaluate() against a naive reference evaluator.
+
+The reference follows the semantics literally, with no contraction and no
+caches: an announcement restricts the model with update(), and a group's
+announcements are all intersections, one set per member, of the sets that
+member can come to know in the model at hand
+(validity.el_definable_know_sets).  It shares no code with the checker's
+mask-keyed evaluator, its bisimulation classes or its extension
+enumeration.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+import pytest
+
+from corgal import (
+    And,
+    Ann,
+    AnnDual,
+    Atom,
+    Bot,
+    Coal,
+    CoalDual,
+    EpistemicModel,
+    Iff,
+    Imp,
+    Know,
+    KnowDual,
+    Not,
+    Or,
+    RelGroup,
+    RelGroupDual,
+    Stratum,
+    Top,
+    counterexample_model,
+    el_definable_know_sets,
+    enumerate_small_models,
+    evaluate,
+    gen_formula,
+    parse_formula,
+    random_model,
+    train_model,
+    update,
+)
+
+GOAL = "K b (p & q & r) & ~K a (p & q & r) & ~K c (p & q & r)"
+
+
+def announcements(model: EpistemicModel, group: frozenset[str]) -> set[int]:
+    """Truth sets of the joint announcements of `group` in `model`."""
+    sets = {model.full}
+    for agent in sorted(group):
+        sets = {x & k for x in sets for k in el_definable_know_sets(model, agent)}
+    return sets
+
+
+def after(model: EpistemicModel, announced: int, f) -> int:
+    """States of `announced` where f holds once it is announced."""
+    restricted = update(model, announced)
+    return model.state_mask(restricted.states_in(reference(restricted, f)))
+
+
+def pointwise(model: EpistemicModel, holds) -> int:
+    return sum(1 << i for i in range(model.n) if holds(1 << i))
+
+
+def reference(model: EpistemicModel, f) -> int:
+    full = model.full
+    if isinstance(f, Atom):
+        return model.valuation_mask(f.name)
+    if isinstance(f, Top):
+        return full
+    if isinstance(f, Bot):
+        return 0
+    if isinstance(f, Not):
+        return full & ~reference(model, f.sub)
+    if isinstance(f, (And, Or, Imp, Iff)):
+        a, b = reference(model, f.left), reference(model, f.right)
+        return full & {
+            And: a & b, Or: a | b, Imp: ~a | b, Iff: ~(a ^ b)
+        }[type(f)]
+    if isinstance(f, (Know, KnowDual)):
+        t = reference(model, f.sub)
+        if isinstance(f, Know):
+            return pointwise(model, lambda w: model.block_of(f.agent, w.bit_length() - 1) & ~t == 0)
+        return pointwise(model, lambda w: model.block_of(f.agent, w.bit_length() - 1) & t != 0)
+    if isinstance(f, (Ann, AnnDual)):
+        s = reference(model, f.ann)
+        if s == 0:
+            return full if isinstance(f, Ann) else 0
+        t = after(model, s, f.sub)
+        return (full & ~s) | t if isinstance(f, Ann) else t
+    if isinstance(f, (RelGroup, RelGroupDual)):
+        chi = reference(model, f.cond)
+        options = {x & chi for x in announcements(model, f.group)} - {0}
+        outcome = {x: after(model, x, f.sub) for x in options}
+        if isinstance(f, RelGroup):
+            return pointwise(
+                model, lambda w: bool(w & chi) and all(outcome[x] & w for x in options if x & w)
+            )
+        return pointwise(
+            model, lambda w: not (w & chi) or any(outcome[x] & w for x in options if x & w)
+        )
+    if isinstance(f, (Coal, CoalDual)):
+        options = announcements(model, f.group)
+        responses = announcements(model, frozenset(model.agents) - f.group)
+        joint = {x & y for x in options for y in responses} - {0}
+        outcome = {z: after(model, z, f.sub) for z in joint}
+
+        def answered(x: int, w: int) -> list[bool]:
+            return [bool(outcome[x & y] & w) for y in responses if y & w]
+
+        if isinstance(f, Coal):
+            return pointwise(model, lambda w: all(any(answered(x, w)) for x in options if x & w))
+        return pointwise(model, lambda w: any(all(answered(x, w)) for x in options if x & w))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def agree(model: EpistemicModel, f) -> None:
+    expected = reference(model, f)
+    for i, state in enumerate(model.states):
+        assert evaluate(model, state, f) == bool(expected >> i & 1), (model, state, str(f))
+
+
+NESTED = [
+    "<[{a0}]> <[{a1}]> K a0 p0",
+    "[<{a0}>] [<{a1}>] ~K a1 p0",
+    "<[{a0,a1}]> [<{}>] (K a0 p0 | K a1 ~p0)",
+    "[{a0,a1}, top] <{a0}, p0> K a1 p0",
+    "<{a1}, K a0 p0> [<{a1}>] (p0 -> K a0 p0)",
+    "[! K a0 p0 | K a1 ~p0] <[{a0}]> <{a1}> ~K a0 p0",
+]
+
+
+def _formulas(atoms: tuple[str, ...], agents: tuple[str, ...], count: int) -> list:
+    return [gen_formula(seed, Stratum.CORGAL, 4, atoms, agents) for seed in range(count)]
+
+
+def doubled_models():
+    """Every model of at most two states, doubled: each state gets a
+    bisimilar twin.  Each agent's blocks are copied, merged with their
+    copies, or crossed over them ({x, y'} and {y, x'}), so that twins can
+    sit in different blocks and a union of blocks can split a class."""
+    for model in enumerate_small_models(2, 2, 1):
+        def twin(s: str) -> str:
+            return s + "x"
+
+        options = []
+        for agent in model.agents:
+            blocks = [list(model.states_in(b)) for b in model.blocks(agent)]
+            options.append([
+                blocks + [[twin(s) for s in b] for b in blocks],
+                [b + [twin(s) for s in b] for b in blocks],
+                [[b[0], twin(b[-1])] for b in blocks] + [[b[-1], twin(b[0])] for b in blocks if len(b) == 2],
+            ])
+        valuation = {
+            p: [*model.states_in(model.valuation_mask(p)),
+                *(twin(s) for s in model.states_in(model.valuation_mask(p)))]
+            for p in model.atoms
+        }
+        for parts in product(*options):
+            yield EpistemicModel(
+                [*model.states, *(twin(s) for s in model.states)],
+                model.agents, model.atoms, dict(zip(model.agents, parts)), valuation,
+            )
+
+
+def test_every_small_model():
+    formulas = [parse_formula(text) for text in NESTED]
+    formulas += _formulas(("p0",), ("a0", "a1"), 30)
+    for model in enumerate_small_models(3, 2, 1):
+        for f in formulas:
+            agree(model, f)
+
+
+def test_models_with_twins_in_different_blocks():
+    formulas = [parse_formula(text) for text in NESTED + ["<{a1}> K a0 p0", "<{a0}> K a1 p0"]]
+    formulas += _formulas(("p0",), ("a0", "a1"), 30)
+    for model in doubled_models():
+        for f in formulas:
+            agree(model, f)
+
+
+@pytest.mark.parametrize("name", ["train", "counterexample"])
+def test_bundled_scenarios(name):
+    if name == "train":
+        model = train_model()
+        texts = [
+            "[! ~p] K c ~p",
+            "[{c}, top] (~K c ~p & ~K c p)",
+            "<[{a,b}]> (~K c ~p & ~K c p)",
+            "[<{a,c}>] (K c ~p | K c p)",
+        ]
+    else:
+        model = counterexample_model()
+        texts = [
+            f"<[{{a,b}}]> ({GOAL})",
+            f"[<{{a}}>] [<{{b}}>] ~({GOAL})",
+            f"<[{{a}}]> <[{{b}}]> ({GOAL})",
+            f"[<{{c}}>] ({GOAL})",
+        ]
+    formulas = [parse_formula(text) for text in texts]
+    formulas += _formulas(model.atoms, model.agents, 20)
+    for f in formulas:
+        agree(model, f)
+
+
+def test_random_three_agent_models():
+    # three agents make coalition complements groups of two, and five
+    # states leave room for bisimilar states the checker merges
+    for seed in range(30):
+        model = random_model(seed, 5, 3, 2)
+        for f in _formulas(model.atoms, model.agents, 10):
+            agree(model, f)

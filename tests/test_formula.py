@@ -31,7 +31,7 @@ from corgal import (
     size,
     stratum,
 )
-from corgal.formula import hole_count
+from corgal.formula import agents_in, atoms_in, hole_count
 
 from conftest import el_formulas, formulas
 
@@ -152,6 +152,33 @@ class TestMeasures:
         assert order_lt(
             Ann(tau, RelGroupDual(others, den, phi)), Ann(tau, Coal(group, phi))
         )
+
+
+class TestSharedSubterms:
+    """Walks visit each distinct node once: this formula has 2^40 leaves
+    in its tree but 41 distinct nodes."""
+
+    def dag(self):
+        f = Know("a", p)
+        for _ in range(40):
+            f = And(f, f)
+        return f
+
+    def test_stratum(self):
+        assert stratum(self.dag()) == Stratum.EL
+        assert stratum(Ann(q, self.dag())) == Stratum.PAL
+
+    def test_symbols(self):
+        f = self.dag()
+        assert agents_in(f) == {"a"}
+        assert atoms_in(f) == {"p"}
+
+    def test_hash_and_equality(self):
+        assert hash(self.dag()) == hash(self.dag())
+        assert self.dag() == self.dag()
+
+    def test_group_knowledge_accepts_shared_bodies(self):
+        assert GroupKnowledgeFormula((("a", self.dag()),)).group == {"a"}
 
 
 class TestGroupKnowledge:

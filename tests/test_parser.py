@@ -26,6 +26,7 @@ from corgal import (
     render_formula,
     render_model,
 )
+from corgal.parser import MAX_NESTING
 
 from conftest import formulas
 
@@ -86,6 +87,31 @@ class TestParseFormula:
             parse_formula("[, p] q")
         assert "unknown operator" in str(err.value)
         assert "'!'" in str(err.value)
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda k: "(" * k + "p" + ")" * k,
+            lambda k: "~" * k + "p",
+            lambda k: "K a " * k + "p",
+            lambda k: "[! p] " * k + "p",
+            lambda k: "<[{a}]> " * k + "p",
+        ],
+    )
+    def test_both_sides_of_the_limit(self, nest):
+        parse_formula(nest(MAX_NESTING))
+        with pytest.raises(ParseError, match="nests deeper") as err:
+            parse_formula(nest(MAX_NESTING + 1))
+        assert err.value.line == 1
+
+    def test_long_implication_chain_is_not_nesting(self):
+        f = parse_formula(" -> ".join(["p"] * 3000))
+        for _ in range(2999):
+            assert f.left == p
+            f = f.right
+        assert f == p
 
 
 class TestRenderFormula:
