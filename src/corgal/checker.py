@@ -15,8 +15,11 @@ intersection, an extension, is enumerated once, S itself first so that
 silence is the first candidate.  Extensions are unions of bisimulation
 classes, so the operator's clause yields a mask over S directly.  The
 witness for an extension X is its canonical decomposition R_a(X), the
-union of member a's widened blocks that meet X, realised as a formula
-through the characteristic formulas of the contracted model.
+union of member a's widened blocks that meet X.  Each member announces a
+smallest epistemic formula true exactly on R_a(X), found by a size-ordered
+search over the root model's truth sets; only when that search exceeds
+its budget does the witness fall back to the characteristic formulas of
+the contracted model.
 """
 
 from __future__ import annotations
@@ -53,10 +56,21 @@ from .model import (
     StateSet,
     block_unions,
     characteristic_formulas,
+    characteristic_size,
     choice_sets,
     contract,
     definable_formula,
 )
+
+
+# The smallest-witness search builds at most WITNESS_SEARCH_BASE candidate
+# formulas plus WITNESS_SEARCH_PER_NODE per tree node of the
+# characteristic-formula witness it would replace, then falls back to that
+# witness.  A candidate costs about as much as a node of the fallback
+# (building, checking, rendering) and the base about its fixed cost, so a
+# search that gives up adds about a quarter to what the fallback costs.
+WITNESS_SEARCH_BASE = 10_000
+WITNESS_SEARCH_PER_NODE = 0.25
 
 
 class UndeclaredSymbol(Exception):
@@ -359,16 +373,14 @@ def _decomposition_text(
 def _witness(
     model: EpistemicModel, parts: tuple[tuple[str, StateSet], ...], extension: StateSet
 ) -> GroupKnowledgeFormula:
-    """The joint announcement whose members' knowledge sets are `parts`."""
-    quotient, mapping = contract(model)
-
-    def image(mask: StateSet) -> StateSet:
-        return quotient.state_mask({mapping[s] for s in model.states_in(mask)})
-
-    choice = ChoiceSet(
-        tuple(a for a, _ in parts), tuple((a, image(mask)) for a, mask in parts), image(extension)
-    )
-    return definable_formula(quotient, choice, characteristic_formulas(quotient))
+    """The joint announcement whose members' knowledge sets are `parts`:
+    each member announces a smallest formula true exactly on its set, or,
+    once the search exceeds its budget, the disjunction of the contracted
+    model's characteristic formulas of its states."""
+    choice = ChoiceSet(tuple(a for a, _ in parts), parts, extension)
+    nodes = characteristic_size(model, [mask for _, mask in parts])
+    budget = int(WITNESS_SEARCH_BASE + WITNESS_SEARCH_PER_NODE * nodes)
+    return definable_formula(model, choice, budget=budget)
 
 
 def evaluate_witness(

@@ -92,6 +92,11 @@ def _load_model(path: str):
         return parse_model_document(handle.read())
 
 
+def _check_cap(args: argparse.Namespace) -> None:
+    if args.cap < 1:
+        raise ValueError(f"--cap must be at least 1, got {args.cap}")
+
+
 def _pick_state(args: argparse.Namespace, document) -> str:
     if args.state is not None:
         return args.state
@@ -101,6 +106,7 @@ def _pick_state(args: argparse.Namespace, document) -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    _check_cap(args)
     document = _load_model(args.model)
     model = document.to_model()
     state = _pick_state(args, document)
@@ -121,6 +127,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    _check_cap(args)
     document = _load_model(args.model)
     model = document.to_model()
     state = _pick_state(args, document)

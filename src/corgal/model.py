@@ -6,7 +6,9 @@ keeps announcement updates and the choice-set enumeration cheap.  A
 choice set is one union of equivalence classes per group member; on a
 bisimulation-contracted model these are exactly the truth sets of the
 joint announcements the group operators quantify over, and
-definable_formula() turns one back into a concrete announcement.
+definable_formula() turns one back into a concrete announcement: from
+smallest_formulas(), a smallest epistemic formula per truth set on any
+model, contracted or not, or from characteristic formulas.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Iterable, Mapping, Sequence
 from .formula import (
     And,
     Atom,
+    BOT,
     Formula,
     GroupKnowledgeFormula,
     Know,
@@ -288,6 +291,134 @@ def characteristic_formulas(model: EpistemicModel) -> dict[str, Formula]:
     return {model.states[i]: current[i] for i in range(model.n)}
 
 
+def characteristic_size(model: EpistemicModel, targets: Iterable[StateSet]) -> int:
+    """Tree nodes of the characteristic-formula disjunctions that define
+    the targets (unions of bisimulation classes), the bodies
+    definable_formula() falls back to, counted without building them."""
+    history = _refinement_history(model)
+    labels = history[-1]
+    first: dict[int, int] = {}
+    for i, c in enumerate(labels):
+        first.setdefault(c, i)
+    reps = [first[c] for c in range(len(first))]
+    n_atoms = len(model.atoms)
+    # round 0: one literal per atom (~p has two nodes), joined by &
+    describe = [
+        sum(1 if model.valuation_mask(p) >> i & 1 else 2 for p in model.atoms) + n_atoms - 1
+        if n_atoms else 1
+        for i in reps
+    ]
+    size = describe
+    for _ in range(len(history) - 1):
+        previous = size
+        size = []
+        for c, i in enumerate(reps):
+            total, parts = describe[c], 1
+            for agent in model.agents:
+                classes = {labels[k] for k in _bits(model.block_of(agent, i))}
+                neighbours = [previous[j] for j in classes]
+                # ~K a ~f per neighbour f, then K a of their disjunction
+                total += sum(3 + f for f in neighbours) + sum(neighbours) + len(neighbours)
+                parts += len(neighbours) + 1
+            size.append(total + parts - 1)
+    nodes = 0
+    for mask in targets:
+        covered = {labels[i] for i in _bits(mask & model.full)}
+        nodes += sum(size[c] for c in covered) + len(covered) - 1
+    return nodes
+
+
+def smallest_formulas(
+    model: EpistemicModel, targets: Iterable[StateSet], budget: int
+) -> dict[StateSet, Formula] | None:
+    """A smallest epistemic formula for each target truth set, or None
+    when finding them would build more than `budget` candidates.
+
+    Candidates grow by node count from top, bot and the atoms through
+    ~, K_a, & and |, and each truth set keeps the first formula found
+    for it.  Replacing a subformula by one with the same truth set keeps
+    the truth set, so the kept formula is a smallest one.  Every target
+    must be a union of bisimulation classes, as every epistemic truth
+    set is; no quotient model is needed.
+    """
+    wanted = set(targets)
+    full = model.full
+    agent_blocks = [(a, model.blocks(a)) for a in model.agents]
+    # a truth set's recipe: a leaf formula, or an operator over truth sets
+    recipe: dict[StateSet, Formula | tuple] = {}
+    levels: list[list[StateSet]] = [[], []]  # levels[n]: sets first found at n nodes
+    for mask, leaf in [(full, TOP), (0, BOT)] + [
+        (model.valuation_mask(p), Atom(p)) for p in model.atoms
+    ]:
+        if mask not in recipe:
+            recipe[mask] = leaf
+            levels[1].append(mask)
+    work = 2 + len(model.atoms) if wanted else 0
+    last_grown = 1
+    while work <= budget:
+        if wanted <= recipe.keys():
+            return _build_formulas(recipe, wanted)
+        n = len(levels)
+        if n > 2 * last_grown + 1:
+            raise ValueError("a target is not a union of bisimulation classes")
+        level: list[StateSet] = []
+        for x in levels[n - 1]:
+            work += 1 + len(agent_blocks)
+            m = full & ~x
+            if m not in recipe:
+                recipe[m] = (Not, x)
+                level.append(m)
+            for a, blocks in agent_blocks:
+                m = 0
+                for b in blocks:
+                    if b & ~x == 0:
+                        m |= b
+                if m not in recipe:
+                    recipe[m] = (Know, a, x)
+                    level.append(m)
+        for i in range(1, (n - 1) // 2 + 1):
+            left, right = levels[i], levels[n - 1 - i]
+            for k, x in enumerate(left):
+                others = right[k:] if left is right else right
+                work += 2 * len(others)
+                if work > budget:
+                    return None
+                for y in others:
+                    m = x & y
+                    if m not in recipe:
+                        recipe[m] = (And, x, y)
+                        level.append(m)
+                    m = x | y
+                    if m not in recipe:
+                        recipe[m] = (Or, x, y)
+                        level.append(m)
+        if level:
+            last_grown = n
+        levels.append(level)
+    return None
+
+
+def _build_formulas(
+    recipe: dict[StateSet, Formula | tuple], wanted: set[StateSet]
+) -> dict[StateSet, Formula]:
+    built: dict[StateSet, Formula] = {}
+
+    def build(mask: StateSet) -> Formula:
+        f = built.get(mask)
+        if f is None:
+            r = recipe[mask]
+            if isinstance(r, Formula):
+                f = r
+            elif r[0] is Know:
+                f = Know(r[1], build(r[2]))
+            else:
+                f = r[0](*map(build, r[1:]))
+            built[mask] = f
+        return f
+
+    return {mask: build(mask) for mask in wanted}
+
+
 def agent_unions(model: EpistemicModel, agent: str) -> list[StateSet]:
     """All non-empty unions of the agent's partition blocks.
 
@@ -359,20 +490,36 @@ def definable_formula(
     model: EpistemicModel,
     choice: ChoiceSet,
     chars: dict[str, Formula] | None = None,
+    budget: int = 0,
 ) -> GroupKnowledgeFormula:
     """Concrete joint announcement realising a choice set.
 
-    On a contracted model the returned announcement's truth set is exactly
-    the choice's extension, and each agent's knowledge part has exactly
-    that agent's union as truth set.
+    Each agent's knowledge part has exactly that agent's union as truth
+    set, so on a contracted model the announcement's truth set is the
+    choice's extension.  With a positive budget each agent announces a
+    smallest formula for its union (smallest_formulas, on any model).
+    Otherwise, or once that search exceeds the budget, each agent
+    announces the disjunction of the characteristic formulas of the
+    classes its union covers: `chars` when given (then `model` must be
+    contracted), else those of the model's contraction.
     """
+    unions = choice.per_agent_union
+    bodies = smallest_formulas(model, [mask for _, mask in unions], budget) if budget > 0 else None
+    if bodies is not None:
+        return GroupKnowledgeFormula(tuple((agent, bodies[mask]) for agent, mask in unions))
     if chars is None:
-        chars = characteristic_formulas(model)
-    bindings = []
-    for agent, mask in choice.per_agent_union:
-        parts = [chars[name] for name in model.states_in(mask)]
-        bindings.append((agent, reduce(Or, parts)))
-    return GroupKnowledgeFormula(tuple(bindings))
+        quotient, mapping = contract(model)
+        chars = characteristic_formulas(quotient)
+        unions = tuple(
+            (agent, quotient.state_mask({mapping[s] for s in model.states_in(mask)}))
+            for agent, mask in unions
+        )
+        model = quotient
+    return GroupKnowledgeFormula(
+        tuple(
+            (agent, reduce(Or, [chars[s] for s in model.states_in(mask)])) for agent, mask in unions
+        )
+    )
 
 
 def random_model(seed: int, n_states: int, n_agents: int, n_atoms: int) -> EpistemicModel:

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+import corgal.checker
 from corgal import (
     Ann,
     Atom,
     Bot,
+    ChoiceSet,
     Coal,
     CoalDual,
     EnumerationCapExceeded,
@@ -19,12 +21,15 @@ from corgal import (
     Stratum,
     TOP,
     UndeclaredSymbol,
+    characteristic_formulas,
     contract,
+    definable_formula,
     evaluate,
     evaluate_coalition_alt,
     evaluate_witness,
     parse_formula,
     random_model,
+    render_formula,
     truth_set,
     update,
 )
@@ -246,6 +251,44 @@ class TestWitnesses:
                 checked += 1
                 assert evaluate(m, w, report.recheck) == report.recheck_expected
         assert checked > 10
+
+    def test_budget_fallback_is_the_characteristic_formula_witness(
+        self, counterexample, monkeypatch
+    ):
+        cases = [(counterexample, "pqr", parse_formula(f"<[{{a,b}}]> ({GOAL})"))]
+        cases += [
+            (random_model(seed, 6, 3, 1), "s0", parse_formula("<{a0}, top> (K a1 p0 | K a2 ~p0)"))
+            for seed in range(8)
+        ]
+        fallbacks = 0
+        for m, w, f in cases:
+            smallest = evaluate_witness(m, w, f)
+            monkeypatch.setattr(corgal.checker, "WITNESS_SEARCH_BASE", 0)
+            monkeypatch.setattr(corgal.checker, "WITNESS_SEARCH_PER_NODE", 0)
+            report = evaluate_witness(m, w, f)
+            monkeypatch.undo()
+            assert report.verdict == smallest.verdict
+            assert report.trace == smallest.trace
+            if report.witness is None:
+                assert smallest.witness is None
+                continue
+            fallbacks += 1
+            assert evaluate(m, w, report.recheck) == report.recheck_expected
+            # the same decomposition, realised through characteristic formulas
+            quotient, mapping = contract(m)
+
+            def image(mask):
+                return quotient.state_mask({mapping[s] for s in m.states_in(mask)})
+
+            parts = tuple((a, image(truth_set(m, body))) for a, body in smallest.witness.bindings)
+            extension = image(truth_set(m, smallest.witness.denotation()))
+            choice = ChoiceSet(tuple(a for a, _ in parts), parts, extension)
+            expected = definable_formula(quotient, choice, characteristic_formulas(quotient))
+            assert render_formula(report.witness.denotation()) == render_formula(
+                expected.denotation()
+            )
+            assert len(str(smallest.witness)) <= len(str(report.witness))
+        assert fallbacks >= 5
 
 
 class TestEvaluatorReuse:

@@ -58,6 +58,24 @@ class TestCheck:
                      "--formula", f"<[{{a,b}}]> ({GOAL})"])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["check", "witness"])
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_is_an_input_error(self, counter_path, capsys, command, cap):
+        code = main([command, "--model", counter_path, "--state", "pqr", "--cap", cap,
+                     "--formula", f"<[{{a,b}}]> ({GOAL})"])
+        assert code == 2
+        assert f"--cap must be at least 1, got {cap}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "witness"])
+    def test_cap_of_one_is_accepted(self, counter_path, capsys, command):
+        code = main([command, "--model", counter_path, "--state", "pqr", "--cap", "1",
+                     "--formula", f"<[{{a,b}}]> ({GOAL})"])
+        assert code == 3
+        assert "exceed the cap of 1" in capsys.readouterr().err
+        code = main([command, "--model", counter_path, "--state", "pqr", "--cap", "1",
+                     "--formula", "<{}, top> top"])
+        assert code == 0
+
     def test_trace(self, counter_path, capsys):
         code = main(["check", "--model", counter_path, "--state", "pqr", "--trace",
                      "--formula", f"<[{{a,b}}]> ({GOAL})"])
@@ -96,6 +114,12 @@ class TestWitness:
         out = capsys.readouterr().out
         assert out.startswith("true")
         assert "witness: " in out
+
+    def test_counterexample_witness_is_the_papers_announcement(self, counter_path, capsys):
+        code = main(["witness", "--model", counter_path, "--state", "pqr",
+                     "--formula", f"<[{{a,b}}]> ({GOAL})"])
+        assert code == 0
+        assert capsys.readouterr().out == "true\nwitness: K a q & K b top\n"
 
     def test_silence_witness(self, train_path, capsys):
         code = main(["witness", "--model", train_path, "--state", "w",

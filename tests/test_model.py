@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 
 from corgal import (
@@ -5,9 +7,11 @@ from corgal import (
     Atom,
     EnumerationCapExceeded,
     EpistemicModel,
+    Formula,
     Know,
     Not,
     Or,
+    Stratum,
     TOP,
     agent_unions,
     characteristic_formulas,
@@ -18,9 +22,13 @@ from corgal import (
     models_equal,
     parse_model,
     random_model,
+    smallest_formulas,
+    stratum,
     truth_set,
     update,
 )
+from corgal.model import ChoiceSet, characteristic_size
+from corgal.validity import enumerate_small_models
 
 
 def two_state_twin():
@@ -256,6 +264,140 @@ class TestDefinableFormula:
                         continue
                     psi = definable_formula(m, c)
                     assert truth_set(m, psi.denotation()) == c.extension
+
+    def test_search_gives_smallest_bodies(self, counterexample):
+        union = counterexample.state_mask(["pqr", "qr", "pq"])
+        choice = ChoiceSet(("a", "b"), (("a", union), ("b", counterexample.full)), union)
+        psi = definable_formula(counterexample, choice, budget=10**6)
+        assert psi.bindings == (("a", Atom("q")), ("b", TOP))
+
+    def test_fallback_goes_through_the_contraction(self):
+        # without chars the characteristic route works on any model: each
+        # agent's disjunction runs over the quotient classes its union covers
+        checked = 0
+        for seed in range(12):
+            m = random_model(seed, 6, 2, 1)
+            quotient, mapping = contract(m)
+            if quotient.n == m.n:
+                continue
+            chars = characteristic_formulas(quotient)
+            for c in choice_sets(quotient, {"a0", "a1"}):
+                if c.extension == 0:
+                    continue
+                parts = tuple(
+                    (a, m.state_mask(s for s in m.states if mapping[s] in quotient.states_in(mask)))
+                    for a, mask in c.per_agent_union
+                )
+                choice = ChoiceSet(c.group, parts, 0)
+                psi = definable_formula(m, choice)
+                assert psi == definable_formula(quotient, c, chars)
+                assert definable_formula(m, choice, budget=0) == psi
+                searched = definable_formula(m, choice, budget=10**6)
+                for (a, body), (_, mask) in zip(searched.bindings, parts):
+                    assert truth_set(m, body) == mask
+                    assert tree_size(body) <= tree_size(dict(psi.bindings)[a])
+                checked += 1
+        assert checked > 20
+
+
+def tree_size(f: Formula) -> int:
+    """Nodes of f written out as a tree, shared subterms counted at every
+    occurrence."""
+    sizes: dict[int, int] = {}
+
+    def walk(g: Formula) -> int:
+        if id(g) not in sizes:
+            children = [getattr(g, n) for n in g.__match_args__]
+            sizes[id(g)] = 1 + sum(walk(c) for c in children if isinstance(c, Formula))
+        return sizes[id(g)]
+
+    return walk(f)
+
+
+def least_sizes(m: EpistemicModel, count: int) -> dict[int, int]:
+    """Least node count of an epistemic formula with each truth set, for
+    the first `count` truth sets reached: every truth set of n nodes,
+    from those of fewer nodes, until `count` are known."""
+    def know(a, x):
+        return sum(b for b in m.blocks(a) if b & ~x == 0)
+
+    exactly = {1: {m.full, 0} | {m.valuation_mask(p) for p in m.atoms}}
+    least = dict.fromkeys(exactly[1], 1)
+    n = 1
+    while len(least) < count:
+        n += 1
+        sets = {m.full & ~x for x in exactly[n - 1]}
+        sets |= {know(a, x) for a in m.agents for x in exactly[n - 1]}
+        for i in range(1, n - 1):
+            for x in exactly[i]:
+                for y in exactly[n - 1 - i]:
+                    sets |= {x & y, x | y}
+        exactly[n] = sets
+        for x in sets:
+            least.setdefault(x, n)
+    return least
+
+
+class TestSmallestFormulas:
+    def test_every_class_union_on_small_models(self):
+        checked = 0
+        for m in enumerate_small_models(3, 2, 1):
+            quotient, mapping = contract(m)
+            chars = characteristic_formulas(quotient)
+            classes = [m.state_mask(s for s in m.states if mapping[s] == q) for q in quotient.states]
+            unions = {0: []}
+            for i, c in enumerate(classes):
+                unions.update({u | c: names + [quotient.states[i]] for u, names in unions.items()})
+            found = smallest_formulas(m, unions, budget=10**6)
+            least = least_sizes(m, len(unions))
+            assert found.keys() == unions.keys() == least.keys()
+            for mask, f in found.items():
+                assert stratum(f) == Stratum.EL
+                assert truth_set(m, f) == mask
+                assert tree_size(f) == least[mask]
+                if mask:
+                    via_chars = reduce(Or, [chars[q] for q in unions[mask]])
+                    assert tree_size(f) <= tree_size(via_chars)
+                checked += 1
+        assert checked > 1000
+
+    def test_smallest_first(self, counterexample):
+        q_a = truth_set(counterexample, Know("a", Atom("q")))
+        found = smallest_formulas(counterexample, [counterexample.full, 0, q_a], budget=10**6)
+        assert found[counterexample.full] == TOP
+        assert str(found[0]) == "bot"
+        assert found[q_a] == Atom("q")
+
+    def test_budget_runs_out(self, counterexample):
+        assert smallest_formulas(counterexample, [counterexample.full], budget=0) is None
+        assert smallest_formulas(counterexample, [], budget=0) == {}
+
+    def test_target_must_be_definable(self):
+        m = two_state_twin()
+        with pytest.raises(ValueError, match="bisimulation classes"):
+            smallest_formulas(m, [m.state_mask(["x"])], budget=10**6)
+
+
+class TestCharacteristicSize:
+    def test_counts_the_fallback_bodies(self):
+        # on contracted and uncontracted models of up to five refinement rounds
+        models = list(enumerate_small_models(3, 2, 1))
+        models += [random_model(seed, 7, 3, 1) for seed in range(30)]
+        checked = 0
+        for m in models:
+            for a in m.agents:
+                for u in agent_unions(m, a)[:8]:
+                    body = definable_formula(m, ChoiceSet((a,), ((a, u),), u)).bindings[0][1]
+                    assert characteristic_size(m, [u]) == tree_size(body)
+                    checked += 1
+        assert checked > 1000
+
+    def test_sums_over_targets(self, counterexample):
+        full, q = counterexample.full, truth_set(counterexample, Atom("q"))
+        assert characteristic_size(counterexample, [full, q]) == (
+            characteristic_size(counterexample, [full]) + characteristic_size(counterexample, [q])
+        )
+        assert characteristic_size(counterexample, []) == 0
 
 
 class TestRandomModel:
