@@ -5,7 +5,10 @@ relativised group announcement and coalition announcement operators.
 The diamond duals and the Or/Imp/Iff connectives are sugar; desugar()
 expands them into the core (Atom/Top/Bot/Not/And/Know/Ann/RelGroup/Coal),
 and the size and depth measures plus the well-founded order driving the
-harness are defined on that core.
+harness are those of the desugared formula.  They are computed on the
+formula itself, without building the desugared tree, and kept on each
+node, as its hash is.  Leaves are interned: Atom(name) returns one object
+per name, and Top() and Bot() return TOP and BOT.
 """
 
 from __future__ import annotations
@@ -33,16 +36,24 @@ class Formula:
     shorthand.  Equality is structural.  Each node computes its hash once
     and keeps it, so hashing a formula costs O(1) after the first time
     even when it shares subterms, as witnesses built from characteristic
-    formulas do.
+    formulas do.  Pickling and copying rebuild a node through its
+    constructor, so the kept hash, which depends on the process's hash
+    seed, is never carried over.
     """
 
+    # Memos filled on first use, not dataclass fields.
+    _hash = None
+    _measure = None
+
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
+        value = self._hash
+        if value is None:
             value = hash((type(self), *(getattr(self, n) for n in self.__match_args__)))
             object.__setattr__(self, "_hash", value)
-            return value
+        return value
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -71,17 +82,39 @@ class Formula:
 
 @dataclass(frozen=True, eq=False)
 class Atom(Formula):
+    """Propositional variable; Atom(name) is one object per name."""
+
     name: str
+
+    def __new__(cls, name: str) -> "Atom":
+        atom = _ATOMS.get(name)
+        if atom is None:
+            atom = _ATOMS[name] = super().__new__(cls)
+        return atom
+
+
+# Atoms are immutable values, so one table serves the whole process.
+_ATOMS: dict[str, Atom] = {}
 
 
 @dataclass(frozen=True, eq=False)
 class Top(Formula):
-    pass
+    """Top() is TOP."""
+
+    def __new__(cls) -> "Top":
+        return TOP
 
 
 @dataclass(frozen=True, eq=False)
 class Bot(Formula):
-    pass
+    """Bot() is BOT."""
+
+    def __new__(cls) -> "Bot":
+        return BOT
+
+
+TOP = object.__new__(Top)
+BOT = object.__new__(Bot)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,10 +217,6 @@ class CoalDual(Formula):
         object.__setattr__(self, "group", frozenset(self.group))
 
 
-TOP = Top()
-BOT = Bot()
-
-
 def _equal(f: Formula, g: Formula) -> bool:
     """Structural equality without recursion, each pair of shared
     subterms compared once."""
@@ -286,89 +315,69 @@ def desugar(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _measure(f: Formula) -> tuple[int, int, int]:
+    """(depth_coal, depth_box, size) of desugar(f), computed on f itself
+    and kept on the node."""
+    m = f._measure
+    if m is not None:
+        return m
+    t = type(f)
+    if t is Atom or t is Top or t is Bot:
+        m = (0, 0, 1)
+    elif t is Not or t is Know or t is KnowDual:
+        c, b, s = _measure(f.sub)
+        m = (c, b, s + (3 if t is KnowDual else 1))
+    elif t is And or t is Or or t is Imp or t is Iff:
+        c1, b1, s1 = _measure(f.left)
+        c2, b2, s2 = _measure(f.right)
+        if t is Iff:
+            s = 2 * (s1 + s2) + 7
+        else:
+            s = s1 + s2 + (1 if t is And else 4 if t is Or else 3)
+        m = (max(c1, c2), max(b1, b2), s)
+    elif t is Ann or t is AnnDual:
+        c1, b1, s1 = _measure(f.ann)
+        c2, b2, s2 = _measure(f.sub)
+        m = (c1 + c2, b1 + b2, s1 + 3 * s2 + (4 if t is AnnDual else 0))
+    elif t is RelGroup or t is RelGroupDual:
+        c1, b1, _ = _measure(f.cond)
+        c2, b2, s2 = _measure(f.sub)
+        m = (c1 + c2, b1 + b2 + 1, s2 + (3 if t is RelGroupDual else 1))
+    elif t is Coal or t is CoalDual:
+        c, b, s = _measure(f.sub)
+        m = (c + 1, b, s + (3 if t is CoalDual else 1))
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    object.__setattr__(f, "_measure", m)
+    return m
+
+
 def size(f: Formula) -> int:
-    """Weighted size of the desugared formula.
+    """Weighted size of the desugared formula, computed on f itself.
 
     Announcements weigh their body threefold; the group operators do not
-    count their condition.
+    count their condition.  Each dual and each of Or, Imp and Iff counts
+    as its expansion does.
     """
-    return _size(desugar(f))
-
-
-def _size(f: Formula) -> int:
-    if isinstance(f, (Atom, Top, Bot)):
-        return 1
-    if isinstance(f, Not):
-        return _size(f.sub) + 1
-    if isinstance(f, And):
-        return _size(f.left) + _size(f.right) + 1
-    if isinstance(f, Know):
-        return _size(f.sub) + 1
-    if isinstance(f, Ann):
-        return _size(f.ann) + 3 * _size(f.sub)
-    if isinstance(f, RelGroup):
-        return _size(f.sub) + 1
-    if isinstance(f, Coal):
-        return _size(f.sub) + 1
-    raise TypeError(f"not in the desugared core: {f!r}")
+    return _measure(f)[2]
 
 
 def depth_box(f: Formula) -> int:
     """Nesting depth of relativised group boxes; coalition boxes are
     transparent."""
-    return _depth_box(desugar(f))
-
-
-def _depth_box(f: Formula) -> int:
-    if isinstance(f, (Atom, Top, Bot)):
-        return 0
-    if isinstance(f, Not):
-        return _depth_box(f.sub)
-    if isinstance(f, And):
-        return max(_depth_box(f.left), _depth_box(f.right))
-    if isinstance(f, Know):
-        return _depth_box(f.sub)
-    if isinstance(f, Ann):
-        return _depth_box(f.ann) + _depth_box(f.sub)
-    if isinstance(f, RelGroup):
-        return _depth_box(f.cond) + _depth_box(f.sub) + 1
-    if isinstance(f, Coal):
-        return _depth_box(f.sub)
-    raise TypeError(f"not in the desugared core: {f!r}")
+    return _measure(f)[1]
 
 
 def depth_coal(f: Formula) -> int:
     """Nesting depth of coalition boxes; group boxes are transparent."""
-    return _depth_coal(desugar(f))
-
-
-def _depth_coal(f: Formula) -> int:
-    if isinstance(f, (Atom, Top, Bot)):
-        return 0
-    if isinstance(f, Not):
-        return _depth_coal(f.sub)
-    if isinstance(f, And):
-        return max(_depth_coal(f.left), _depth_coal(f.right))
-    if isinstance(f, Know):
-        return _depth_coal(f.sub)
-    if isinstance(f, Ann):
-        return _depth_coal(f.ann) + _depth_coal(f.sub)
-    if isinstance(f, RelGroup):
-        return _depth_coal(f.cond) + _depth_coal(f.sub)
-    if isinstance(f, Coal):
-        return _depth_coal(f.sub) + 1
-    raise TypeError(f"not in the desugared core: {f!r}")
+    return _measure(f)[0]
 
 
 def order_lt(f: Formula, g: Formula) -> bool:
-    """Well-founded strict order: coalition depth, then box depth, then size."""
-    fd = desugar(f)
-    gd = desugar(g)
-    return (_depth_coal(fd), _depth_box(fd), _size(fd)) < (
-        _depth_coal(gd),
-        _depth_box(gd),
-        _size(gd),
-    )
+    """Well-founded strict order on the desugared formulas: coalition
+    depth, then box depth, then size.  Compares the measures kept on f
+    and g; neither is desugared."""
+    return _measure(f) < _measure(g)
 
 
 @dataclass(frozen=True)

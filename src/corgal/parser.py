@@ -16,6 +16,7 @@ from .formula import (
     Ann,
     AnnDual,
     Atom,
+    BOT,
     Bot,
     Coal,
     CoalDual,
@@ -194,9 +195,9 @@ class _Parser:
         if tok.is_name:
             self._advance()
             if tok.text == "top":
-                return Top()
+                return TOP
             if tok.text == "bot":
-                return Bot()
+                return BOT
             return Atom(tok.text)
         self.nesting += 1
         if self.nesting > MAX_NESTING:

@@ -1,16 +1,28 @@
+import copy
+import os
+import pickle
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+import corgal
 from corgal import (
     And,
     Ann,
     AnnDual,
     Atom,
+    BOT,
+    Bot,
     Coal,
     CoalDual,
     GroupKnowledgeFormula,
     HOLE,
+    Iff,
     Imp,
     Know,
     KnowDual,
@@ -23,15 +35,18 @@ from corgal import (
     RelGroupDual,
     Stratum,
     TOP,
+    Top,
     depth_box,
     depth_coal,
     desugar,
     nf_instantiate,
     order_lt,
+    parse_formula,
     size,
     stratum,
 )
-from corgal.formula import agents_in, atoms_in, hole_count
+from corgal.formula import _measure, agents_in, atoms_in, hole_count
+from corgal.validity import _gen
 
 from conftest import el_formulas, formulas
 
@@ -152,6 +167,153 @@ class TestMeasures:
         assert order_lt(
             Ann(tau, RelGroupDual(others, den, phi)), Ann(tau, Coal(group, phi))
         )
+
+
+def naive_measure(f):
+    """(depth_coal, depth_box, size) by walking the desugared tree, as the
+    order is defined."""
+
+    def walk(g):
+        if isinstance(g, (Atom, Top, Bot)):
+            return 0, 0, 1
+        if isinstance(g, (Not, Know)):
+            c, b, s = walk(g.sub)
+            return c, b, s + 1
+        if isinstance(g, And):
+            (c1, b1, s1), (c2, b2, s2) = walk(g.left), walk(g.right)
+            return max(c1, c2), max(b1, b2), s1 + s2 + 1
+        if isinstance(g, Ann):
+            (c1, b1, s1), (c2, b2, s2) = walk(g.ann), walk(g.sub)
+            return c1 + c2, b1 + b2, s1 + 3 * s2
+        if isinstance(g, RelGroup):
+            (c1, b1, _), (c2, b2, s2) = walk(g.cond), walk(g.sub)
+            return c1 + c2, b1 + b2 + 1, s2 + 1
+        if isinstance(g, Coal):
+            c, b, s = walk(g.sub)
+            return c + 1, b, s + 1
+        raise TypeError(f"not in the desugared core: {g!r}")
+
+    return walk(desugar(f))
+
+
+class TestMeasureAgainstDesugaredWalk:
+    """The measures kept on each node equal those of a walk over the
+    desugared tree."""
+
+    def generated(self):
+        rng = random.Random(5)
+        agents = ("a", "b", "c")
+        for i in range(5000):
+            target = Stratum(i % 4)
+            depth = 1 + (i // 4) % 5
+            yield _gen(rng, target, depth, ("p", "q"), agents)
+
+    def test_generated_formulas(self):
+        seen = set()
+        for f in self.generated():
+            m = naive_measure(f)
+            seen.add((stratum(f), m[:2] != (0, 0)))
+            assert _measure(f) == m
+            assert (depth_coal(f), depth_box(f), size(f)) == m
+        # every stratum was reached, and some formulas have nonzero depths
+        assert {s for s, _ in seen} == set(Stratum)
+        assert (Stratum.CORGAL, True) in seen
+
+    def test_order_is_the_triple_comparison(self):
+        formulas = list(self.generated())
+        for f, g in zip(formulas, formulas[1:] + formulas[:1]):
+            assert order_lt(f, g) == (naive_measure(f) < naive_measure(g))
+            assert order_lt(g, f) == (naive_measure(g) < naive_measure(f))
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            p,
+            TOP,
+            BOT,
+            Not(p),
+            And(p, Know("a", q)),
+            Or(p, Know("a", q)),
+            Imp(Coal({"a"}, p), q),
+            Iff(Ann(p, q), RelGroup({"a"}, p, q)),
+            Know("a", Coal({"b"}, p)),
+            KnowDual("a", RelGroup({"b"}, q, p)),
+            Ann(Coal({"a"}, p), RelGroup({"a"}, q, r)),
+            AnnDual(RelGroup({"a"}, p, q), Coal({"b"}, Or(p, q))),
+            RelGroup({"a"}, Coal({"b"}, p), Iff(p, q)),
+            RelGroupDual({"a"}, RelGroup({"b"}, p, q), Coal({"a"}, r)),
+            Coal({"a"}, KnowDual("b", p)),
+            CoalDual({"a", "b"}, AnnDual(p, Imp(q, r))),
+        ],
+        ids=lambda f: str(f),
+    )
+    def test_every_constructor(self, f):
+        assert _measure(f) == naive_measure(f)
+
+    def test_shared_operands_count_twice(self):
+        f = Iff(p, q)
+        for _ in range(3):
+            f = Or(f, f)
+        assert size(f) == naive_measure(f)[2] == 8 * size(Iff(p, q)) + 7 * 4
+
+
+class TestInterning:
+    def test_atoms_and_constants(self):
+        assert Atom("p") is Atom("p")
+        assert Atom("p") is not Atom("q")
+        assert Top() is TOP
+        assert Bot() is BOT
+
+    def test_parser_returns_interned_leaves(self):
+        f = parse_formula("p & top")
+        assert f.left is Atom("p")
+        assert f.right is TOP
+        assert parse_formula("bot") is BOT
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_keep_interned_leaves(self, clone):
+        f = Know("a", Atom("p"))
+        hash(f)
+        g = clone(f)
+        assert g.sub is Atom("p")
+        assert g == f and hash(g) == hash(f)
+        assert clone(Atom("p")) is Atom("p")
+        assert clone(TOP) is TOP
+        assert clone(BOT) is BOT
+        assert clone(RelGroup({"a"}, p, q)) == RelGroup({"a"}, p, q)
+
+    def test_non_leaf_nodes_stay_distinct_objects(self):
+        f, g = Know("a", Atom("p")), Know("a", Atom("p"))
+        assert f is not g
+        assert f == g and hash(f) == hash(g)
+        assert Know("a", p) != Know("b", p)
+        assert And(p, q) != And(q, p)
+        assert len({f, g, Know("b", p)}) == 2
+
+    def test_pickle_loads_equal_under_another_hash_seed(self):
+        f = parse_formula("K a p & q")
+        hash(f)
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        script = (
+            "import pickle, sys\n"
+            "from corgal import parse_formula\n"
+            "g = pickle.loads(sys.stdin.buffer.read())\n"
+            "f = parse_formula('K a p & q')\n"
+            "print(f == g, hash(f) == hash(g), g in {f}, hash('K a p & q'))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(corgal.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(f),
+            capture_output=True, env=env, check=True,
+        ).stdout.decode().split()
+        assert out[:3] == ["True", "True", "True"]
+        # the loading process really hashes differently
+        assert int(out[3]) != hash("K a p & q")
 
 
 class TestSharedSubterms:
