@@ -10,21 +10,30 @@ memoised on the nodes, so a key costs O(1) to hash.
 The quantified operators range over the joint announcements of a group.
 Their truth sets in M|S are the intersections, over the members, of
 unions of each member's blocks widened to whole bisimulation classes of
-M|S (partition refinement on masks, cached per S).  Each distinct such
-intersection, an extension, is enumerated once, S itself first so that
-silence is the first candidate.  Extensions are unions of bisimulation
-classes, so the operator's clause yields a mask over S directly.  The
-witness for an extension X is its canonical decomposition R_a(X), the
-union of member a's widened blocks that meet X.  Each member announces a
-smallest epistemic formula true exactly on R_a(X), found by a size-ordered
-search over the root model's truth sets; only when that search exceeds
-its budget does the witness fall back to the characteristic formulas of
-the contracted model.
+M|S (model.refinement, cached per S).  Each distinct such intersection,
+an extension, is enumerated once, S itself first so that silence is the
+first candidate.  Extensions are unions of bisimulation classes, so the
+operator's clause yields a mask over S directly.
+
+Each operator's clause is written once, in _Root.clause: over a domain S
+and a focus F within it, it yields per extension c whose scope (c, or c
+met with the condition for the relativised operators) meets F the part
+of the scope inside F where the operator's body survives.  Truth sets
+fold it with F = S, stopping once the result is settled; evaluate_witness
+folds it with F = the point, and that one loop gives the verdict, the
+trace and the first deciding extension.  The witness for an extension X
+is its canonical decomposition R_a(X), the union of member a's widened
+blocks that meet X.  Each member announces a smallest epistemic formula
+true exactly on R_a(X), found by a size-ordered search over the root
+model's truth sets; only when that search exceeds its budget does the
+witness fall back to the characteristic formulas of the contracted
+model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .formula import (
     And,
@@ -60,6 +69,7 @@ from .model import (
     choice_sets,
     contract,
     definable_formula,
+    refinement,
 )
 
 
@@ -210,49 +220,11 @@ class _Root:
         raise TypeError(f"not a formula: {f!r}")
 
     def saturated(self, domain: StateSet) -> dict[str, tuple[StateSet, ...]]:
-        """Each agent's blocks of M|domain, widened to whole bisimulation
-        classes of M|domain, ordered by their lowest state.
-
-        These are the blocks of the contracted M|domain, pulled back; the
-        widened blocks of one agent stay disjoint.
-        """
+        """Each agent's blocks of M|domain widened to whole bisimulation
+        classes of M|domain, ordered by their lowest state."""
         hit = self._saturated.get(domain)
-        if hit is not None:
-            return hit
-        model = self.model
-        blocks = {
-            a: [b & domain for b in model.blocks(a) if b & domain] for a in model.agents
-        }
-        classes = [domain]
-        for atom in model.atoms:
-            v = model.valuation_mask(atom)
-            classes = [part for c in classes for part in (c & v, c & ~v) if part]
-        while True:
-            refined = classes
-            for agent_blocks in blocks.values():
-                # states whose block meets the same classes stay together
-                regions: dict[int, StateSet] = {}
-                for b in agent_blocks:
-                    met = 0
-                    for i, c in enumerate(refined):
-                        if c & b:
-                            met |= 1 << i
-                    regions[met] = regions.get(met, 0) | b
-                refined = [part for c in refined for r in regions.values() if (part := c & r)]
-            if len(refined) == len(classes):
-                break
-            classes = refined
-        hit = {}
-        for agent, agent_blocks in blocks.items():
-            widened = set()
-            for b in agent_blocks:
-                union = 0
-                for c in classes:
-                    if c & b:
-                        union |= c
-                widened.add(union)
-            hit[agent] = tuple(sorted(widened, key=lambda u: u & -u))
-        self._saturated[domain] = hit
+        if hit is None:
+            hit = self._saturated[domain] = refinement(self.model, domain)[1]
         return hit
 
     def extensions(self, domain: StateSet, group: frozenset[str]) -> list[StateSet]:
@@ -297,53 +269,70 @@ class _Root:
             if a in group
         )
 
-    def _quantified(self, domain: StateSet, f: Formula) -> StateSet:
+    def base(self, domain: StateSet, f: Formula) -> tuple[StateSet, bool]:
+        """Where the quantified f holds in M|domain before any announcement
+        is weighed, and whether f is a box: a box loses the states where
+        an announcement's clause fails, a diamond gains those where one
+        holds."""
+        if isinstance(f, RelGroup):
+            return self.truth(domain, f.cond), True
+        if isinstance(f, RelGroupDual):
+            return domain & ~self.truth(domain, f.cond), False
+        return (domain, True) if isinstance(f, Coal) else (0, False)
+
+    def clause(
+        self, domain: StateSet, f: Formula, focus: StateSet
+    ) -> Iterator[tuple[StateSet, StateSet, StateSet]]:
+        """The clause of the quantified f in M|domain, one announcement at
+        a time: for each extension c of f's group whose scope meets
+        `focus`, in extensions() order, yields (c, scope, good).
+
+        The scope is c & chi for the relativised operators and c for the
+        coalition ones.  good is the part of scope & focus where f.sub
+        survives: in M|scope for [G,chi] and <G,chi>, after some response
+        of the other agents for [<G>], after every response for <[G]>.
+        Nothing is enumerated when chi misses the focus.
+        """
         if isinstance(f, (RelGroup, RelGroupDual)):
             chi = self.truth(domain, f.cond)
-            options = self.extensions(domain, f.group)
-            if isinstance(f, RelGroup):
-                res = chi
-                for c in options:
-                    if res == 0:
-                        break
-                    x = c & chi
-                    if x:
-                        res &= ~x | self.truth(x, f.sub)
-                return res
-            some = 0
-            for c in options:
-                x = c & chi
-                if x:
-                    some |= self.truth(x, f.sub)
-            return (domain & ~chi) | some
-        options = self.extensions(domain, f.group)
-        responses = self.extensions(domain, frozenset(self.model.agents) - f.group)
-        if isinstance(f, Coal):
-            res = domain
-            for c in options:
-                if res == 0:
-                    break
+            if not chi & focus:
+                return
+            responses = None
+        else:
+            chi = domain
+            responses = self.extensions(domain, frozenset(self.model.agents) - f.group)
+        for c in self.extensions(domain, f.group):
+            scope = c & chi
+            here = scope & focus
+            if not here:
+                continue
+            if responses is None:
+                good = here & self.truth(scope, f.sub)
+            elif isinstance(f, Coal):
                 good = 0
                 for d in responses:
                     x = c & d
-                    if x:
-                        good |= self.truth(x, f.sub)
-                res &= ~c | good
-            return res
-        res = 0
-        for c in options:
-            if res == domain:
+                    if x & here & ~good:
+                        good |= here & self.truth(x, f.sub)
+                        if good == here:
+                            break
+            else:
+                good = here
+                for d in responses:
+                    x = c & d
+                    if x & good:
+                        good &= ~d | self.truth(x, f.sub)
+                        if not good:
+                            break
+            yield c, scope, good
+
+    def _quantified(self, domain: StateSet, f: Formula) -> StateSet:
+        res, box = self.base(domain, f)
+        done = 0 if box else domain
+        for _, scope, good in self.clause(domain, f, domain):
+            res = res & (~scope | good) if box else res | good
+            if res == done:
                 break
-            acc = c
-            for d in responses:
-                if acc == 0:
-                    break
-                x = c & d
-                part = ~d
-                if x:
-                    part |= self.truth(x, f.sub)
-                acc &= part
-            res |= acc
         return res
 
 
@@ -371,16 +360,18 @@ def _decomposition_text(
 
 
 def _witness(
-    model: EpistemicModel, parts: tuple[tuple[str, StateSet], ...], extension: StateSet
+    model: EpistemicModel, parts: tuple[tuple[str, StateSet], ...]
 ) -> GroupKnowledgeFormula:
     """The joint announcement whose members' knowledge sets are `parts`:
     each member announces a smallest formula true exactly on its set, or,
     once the search exceeds its budget, the disjunction of the contracted
     model's characteristic formulas of its states."""
-    choice = ChoiceSet(tuple(a for a, _ in parts), parts, extension)
     nodes = characteristic_size(model, [mask for _, mask in parts])
     budget = int(WITNESS_SEARCH_BASE + WITNESS_SEARCH_PER_NODE * nodes)
-    return definable_formula(model, choice, budget=budget)
+    return definable_formula(model, parts, budget=budget)
+
+
+_OPERATOR = {RelGroup: "[G,chi]", RelGroupDual: "<G,chi>", Coal: "[<G>]", CoalDual: "<[G]>"}
 
 
 def evaluate_witness(
@@ -392,8 +383,9 @@ def evaluate_witness(
     A witness exists when the verdict hinges on one choice: an existential
     that succeeds, or a universal refuted by a specific announcement.
     Vacuous verdicts (condition false at the point) carry none.  The trace
-    has one entry per distinct extension containing the point, shown with
-    its decomposition R_a(X).
+    has one entry per distinct extension whose scope contains the point,
+    shown with its decomposition R_a(X); the first entry that decides the
+    verdict gives the witness.
     """
     if not isinstance(f, _QUANTIFIED):
         raise NotQuantified("the outermost operator is not a quantified announcement")
@@ -401,77 +393,28 @@ def evaluate_witness(
     root = _Root(model, cap)
     full = model.full
     vbit = 1 << model.state_index(state)
+    res, box = root.base(full, f)
+    op = _OPERATOR[type(f)]
     trace: list[TraceEntry] = []
-    chosen: StateSet | None = None
+    deciding: tuple[tuple[str, StateSet], ...] | None = None
+    for c, _, good in root.clause(full, f, vbit):
+        parts = root.decomposition(full, f.group, c)
+        trace.append(TraceEntry(op, _decomposition_text(model, parts, c), bool(good)))
+        if deciding is None and bool(good) != box:
+            deciding = parts
+    # a deciding announcement flips the verdict the base gives the point
+    verdict = bool(res & vbit) != (deciding is not None)
+    if deciding is None:
+        return WitnessReport(verdict, None, trace)
 
-    def entry(op: str, extension: StateSet, verdict: bool) -> None:
-        parts = root.decomposition(full, f.group, extension)
-        trace.append(TraceEntry(op, _decomposition_text(model, parts, extension), verdict))
-
+    # announcing the witness in place of the quantifier replays the decision
+    witness = _witness(model, deciding)
+    den = witness.denotation()
     if isinstance(f, (RelGroup, RelGroupDual)):
-        op = "[G,chi]" if isinstance(f, RelGroup) else "<G,chi>"
-        chi = root.truth(full, f.cond)
-        chi_here = bool(chi & vbit)
-        first_fail: StateSet | None = None
-        first_ok: StateSet | None = None
-        if chi_here:
-            for c in root.extensions(full, f.group):
-                x = c & chi
-                if not (x & vbit):
-                    continue
-                sub_ok = bool(root.truth(x, f.sub) & vbit)
-                entry(op, c, sub_ok)
-                if sub_ok and first_ok is None:
-                    first_ok = c
-                if not sub_ok and first_fail is None:
-                    first_fail = c
-        if isinstance(f, RelGroup):
-            verdict = chi_here and first_fail is None
-            if not verdict and chi_here:
-                chosen = first_fail
-        else:
-            verdict = (not chi_here) or first_ok is not None
-            if verdict and chi_here:
-                chosen = first_ok
+        recheck = (Ann if box else AnnDual)(And(den, f.cond), f.sub)
     else:
-        op = "[<G>]" if isinstance(f, Coal) else "<[G]>"
-        others = frozenset(model.agents) - f.group
-        responses = [d for d in root.extensions(full, others) if d & vbit]
-        verdict = isinstance(f, Coal)
-        for c in root.extensions(full, f.group):
-            if not (c & vbit):
-                continue
-            if isinstance(f, Coal):
-                # does some simultaneous response rescue f.sub?
-                entry_ok = any(root.truth(c & d, f.sub) & vbit for d in responses)
-            else:
-                # does f.sub survive every simultaneous response?
-                entry_ok = all(root.truth(c & d, f.sub) & vbit for d in responses)
-            entry(op, c, entry_ok)
-            if isinstance(f, Coal) and not entry_ok and chosen is None:
-                verdict = False
-                chosen = c
-            if isinstance(f, CoalDual) and entry_ok and chosen is None:
-                verdict = True
-                chosen = c
-
-    witness = None
-    recheck: Formula | None = None
-    expected: bool | None = None
-    if chosen is not None:
-        witness = _witness(model, root.decomposition(full, f.group, chosen), chosen)
-        den = witness.denotation()
-        if isinstance(f, RelGroup):
-            recheck, expected = Ann(And(den, f.cond), f.sub), False
-        elif isinstance(f, RelGroupDual):
-            recheck, expected = AnnDual(And(den, f.cond), f.sub), True
-        else:
-            others = frozenset(model.agents) - f.group
-            if isinstance(f, Coal):
-                recheck, expected = RelGroupDual(others, den, f.sub), False
-            else:
-                recheck, expected = RelGroup(others, den, f.sub), True
-    return WitnessReport(verdict, witness, trace, recheck, expected)
+        recheck = (RelGroupDual if box else RelGroup)(frozenset(model.agents) - f.group, den, f.sub)
+    return WitnessReport(verdict, witness, trace, recheck, not box)
 
 
 def evaluate_coalition_alt(
@@ -493,18 +436,10 @@ def evaluate_coalition_alt(
     chars = characteristic_formulas(quotient)
     options = choice_sets(quotient, f.group, cap=cap)
     ev = Evaluator(cap=cap)
-    if isinstance(f, Coal):
-        return all(
-            ev.holds(
-                quotient, v,
-                RelGroupDual(others, definable_formula(quotient, c, chars).denotation(), f.sub),
-            )
-            for c in options
-        )
-    return any(
-        ev.holds(
-            quotient, v,
-            RelGroup(others, definable_formula(quotient, c, chars).denotation(), f.sub),
-        )
-        for c in options
-    )
+    response = RelGroupDual if isinstance(f, Coal) else RelGroup
+
+    def announced(c: ChoiceSet) -> Formula:
+        return definable_formula(quotient, c.per_agent_union, chars).denotation()
+
+    verdicts = (ev.holds(quotient, v, response(others, announced(c), f.sub)) for c in options)
+    return all(verdicts) if isinstance(f, Coal) else any(verdicts)

@@ -2,13 +2,18 @@
 announcements.
 
 States are indexed and state sets are bitmasks (bit i = state i), which
-keeps announcement updates and the choice-set enumeration cheap.  A
-choice set is one union of equivalence classes per group member; on a
-bisimulation-contracted model these are exactly the truth sets of the
-joint announcements the group operators quantify over, and
-definable_formula() turns one back into a concrete announcement: from
-smallest_formulas(), a smallest epistemic formula per truth set on any
-model, contracted or not, or from characteristic formulas.
+keeps announcement updates and the choice-set enumeration cheap.
+Bisimulation classes are computed in one place, refinement(): partition
+refinement on masks over any restriction M|S, which gives the classes of
+every round and each agent's blocks widened to the final classes.  The
+checker's quantifiers, contract(), characteristic_formulas() and
+characteristic_size() all use it.  A choice set is one union of
+equivalence classes per group member; on a bisimulation-contracted model
+these are exactly the truth sets of the joint announcements the group
+operators quantify over, and definable_formula() turns the members'
+unions, given as (agent, mask) pairs, back into a concrete announcement:
+from smallest_formulas(), a smallest epistemic formula per truth set on
+any model, contracted or not, or from characteristic formulas.
 """
 
 from __future__ import annotations
@@ -171,37 +176,54 @@ def update(model: EpistemicModel, announcement: StateSet) -> EpistemicModel:
     return EpistemicModel(names, model.agents, model.atoms, partitions, valuation)
 
 
-def _initial_labels(model: EpistemicModel) -> list[int]:
-    labels: list[int] = []
-    seen: dict[tuple[int, ...], int] = {}
-    for i in range(model.n):
-        sig = tuple(model.valuation_mask(p) >> i & 1 for p in model.atoms)
-        labels.append(seen.setdefault(sig, len(seen)))
-    return labels
+def refinement(
+    model: EpistemicModel, domain: StateSet
+) -> tuple[list[list[StateSet]], dict[str, tuple[StateSet, ...]]]:
+    """Bisimulation classes of M|domain by partition refinement on masks.
 
-
-def _refine_step(model: EpistemicModel, labels: list[int]) -> list[int]:
-    new: list[int] = []
-    seen: dict[tuple, int] = {}
-    for i in range(model.n):
-        sig = (
-            labels[i],
-            tuple(
-                tuple(sorted({labels[j] for j in _bits(model.block_of(agent, i))}))
-                for agent in model.agents
-            ),
-        )
-        new.append(seen.setdefault(sig, len(seen)))
-    return new
-
-
-def _refinement_history(model: EpistemicModel) -> list[list[int]]:
-    history = [_initial_labels(model)]
+    Returns the classes of every round and each agent's blocks of
+    M|domain widened to whole final classes (the blocks of the contracted
+    M|domain, pulled back; one agent's stay disjoint), all ordered by
+    their lowest state.  Round 0 splits domain by the valuation; a round
+    splits states whose blocks meet different classes of the round
+    before, for all agents at once, so the number of rounds is the depth
+    the characteristic formulas need.
+    """
+    blocks = [[b & domain for b in model.blocks(a) if b & domain] for a in model.agents]
+    classes = [domain]
+    for atom in model.atoms:
+        v = model.valuation_mask(atom)
+        classes = [part for c in classes for part in (c & v, c & ~v) if part]
+    rounds = [classes]
     while True:
-        nxt = _refine_step(model, history[-1])
-        if nxt == history[-1]:
-            return history
-        history.append(nxt)
+        refined = classes
+        regions_by_agent = []
+        for agent_blocks in blocks:
+            # states whose blocks meet the same classes stay together
+            regions: dict[int, StateSet] = {}
+            for b in agent_blocks:
+                met = 0
+                for i, c in enumerate(classes):
+                    if c & b:
+                        met |= 1 << i
+                regions[met] = regions.get(met, 0) | b
+            regions_by_agent.append(regions.values())
+            refined = [part for c in refined for r in regions.values() if (part := c & r)]
+        if len(refined) == len(classes):
+            break
+        classes = refined
+        rounds.append(classes)
+    # on stable classes each region is the union of the classes its blocks meet
+    widened = {
+        a: tuple(sorted(regions, key=_first))
+        for a, regions in zip(model.agents, regions_by_agent)
+    }
+    return [sorted(r, key=_first) for r in rounds], widened
+
+
+def _first(mask: StateSet) -> int:
+    """Index of the lowest state in a non-empty mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def contract(model: EpistemicModel) -> tuple[EpistemicModel, dict[str, str]]:
@@ -210,40 +232,21 @@ def contract(model: EpistemicModel) -> tuple[EpistemicModel, dict[str, str]]:
     Returns the quotient model and the surjection old state -> quotient
     state.  Quotient states are named after the first member of each class.
     """
-    labels = _refinement_history(model)[-1]
-    n_classes = max(labels) + 1
-    reps = [0] * n_classes
-    for i in range(model.n - 1, -1, -1):
-        reps[labels[i]] = i
-    names = [model.states[r] for r in reps]
-    mapping = {model.states[i]: names[labels[i]] for i in range(model.n)}
+    rounds, widened = refinement(model, model.full)
+    classes = rounds[-1]
+    names = [model.states[_first(c)] for c in classes]
+    name_of = [""] * model.n
+    for c, name in zip(classes, names):
+        for i in _bits(c):
+            name_of[i] = name
 
-    partitions: dict[str, list[list[str]]] = {}
-    for agent in model.agents:
-        # classes touched by one original block are all pairwise related
-        parent = list(range(n_classes))
+    def names_in(mask: StateSet) -> list[str]:
+        return [name for c, name in zip(classes, names) if c & mask]
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for block in model.blocks(agent):
-            touched = sorted({labels[i] for i in _bits(block)})
-            for other in touched[1:]:
-                parent[find(other)] = find(touched[0])
-        groups: dict[int, list[str]] = {}
-        for c in range(n_classes):
-            groups.setdefault(find(c), []).append(names[c])
-        partitions[agent] = [groups[root] for root in sorted(groups)]
-
-    valuation = {
-        atom: [names[c] for c in range(n_classes) if model.valuation_mask(atom) >> reps[c] & 1]
-        for atom in model.atoms
-    }
+    partitions = {a: [names_in(w) for w in widened[a]] for a in model.agents}
+    valuation = {atom: names_in(model.valuation_mask(atom)) for atom in model.atoms}
     quotient = EpistemicModel(names, model.agents, model.atoms, partitions, valuation)
-    return quotient, mapping
+    return quotient, dict(zip(model.states, name_of))
 
 
 def characteristic_formulas(model: EpistemicModel) -> dict[str, Formula]:
@@ -255,19 +258,13 @@ def characteristic_formulas(model: EpistemicModel) -> dict[str, Formula]:
     equals the number of refinement steps the model needs, so the formulas
     are as shallow as the model allows.
     """
-    history = _refinement_history(model)
-    final = history[-1]
-    if max(final) + 1 != model.n:
-        pair = next(
-            (model.states[i], model.states[j])
-            for i in range(model.n)
-            for j in range(i + 1, model.n)
-            if final[i] == final[j]
-        )
+    rounds, _ = refinement(model, model.full)
+    shared = next((c for c in rounds[-1] if c & (c - 1)), 0)
+    if shared:
+        x, y = model.states_in(shared)[:2]
         raise ValueError(
-            f"model is not bisimulation-contracted: states {pair[0]!r} and {pair[1]!r} are bisimilar"
+            f"model is not bisimulation-contracted: states {x!r} and {y!r} are bisimilar"
         )
-    rounds = len(history) - 1
 
     def describe(i: int) -> Formula:
         lits = [
@@ -277,7 +274,7 @@ def characteristic_formulas(model: EpistemicModel) -> dict[str, Formula]:
         return reduce(And, lits) if lits else TOP
 
     current: list[Formula] = [describe(i) for i in range(model.n)]
-    for _ in range(rounds):
+    for _ in range(len(rounds) - 1):
         previous = current
         current = []
         for i in range(model.n):
@@ -295,12 +292,9 @@ def characteristic_size(model: EpistemicModel, targets: Iterable[StateSet]) -> i
     """Tree nodes of the characteristic-formula disjunctions that define
     the targets (unions of bisimulation classes), the bodies
     definable_formula() falls back to, counted without building them."""
-    history = _refinement_history(model)
-    labels = history[-1]
-    first: dict[int, int] = {}
-    for i, c in enumerate(labels):
-        first.setdefault(c, i)
-    reps = [first[c] for c in range(len(first))]
+    rounds, _ = refinement(model, model.full)
+    classes = rounds[-1]
+    reps = [_first(c) for c in classes]
     n_atoms = len(model.atoms)
     # round 0: one literal per atom (~p has two nodes), joined by &
     describe = [
@@ -309,22 +303,22 @@ def characteristic_size(model: EpistemicModel, targets: Iterable[StateSet]) -> i
         for i in reps
     ]
     size = describe
-    for _ in range(len(history) - 1):
+    for _ in range(len(rounds) - 1):
         previous = size
         size = []
         for c, i in enumerate(reps):
             total, parts = describe[c], 1
             for agent in model.agents:
-                classes = {labels[k] for k in _bits(model.block_of(agent, i))}
-                neighbours = [previous[j] for j in classes]
+                block = model.block_of(agent, i)
+                neighbours = [previous[k] for k, d in enumerate(classes) if d & block]
                 # ~K a ~f per neighbour f, then K a of their disjunction
                 total += sum(3 + f for f in neighbours) + sum(neighbours) + len(neighbours)
                 parts += len(neighbours) + 1
             size.append(total + parts - 1)
     nodes = 0
     for mask in targets:
-        covered = {labels[i] for i in _bits(mask & model.full)}
-        nodes += sum(size[c] for c in covered) + len(covered) - 1
+        covered = [s for c, s in zip(classes, size) if c & mask]
+        nodes += sum(covered) + len(covered) - 1
     return nodes
 
 
@@ -448,12 +442,6 @@ class ChoiceSet:
     per_agent_union: tuple[tuple[str, StateSet], ...]
     extension: StateSet
 
-    def union_for(self, agent: str) -> StateSet:
-        for a, mask in self.per_agent_union:
-            if a == agent:
-                return mask
-        raise KeyError(agent)
-
 
 def choice_sets(
     model: EpistemicModel,
@@ -488,36 +476,36 @@ def choice_sets(
 
 def definable_formula(
     model: EpistemicModel,
-    choice: ChoiceSet,
+    parts: Sequence[tuple[str, StateSet]],
     chars: dict[str, Formula] | None = None,
     budget: int = 0,
 ) -> GroupKnowledgeFormula:
-    """Concrete joint announcement realising a choice set.
+    """Concrete joint announcement whose members' knowledge sets are
+    `parts`, one (agent, union of that agent's classes) pair per member.
 
     Each agent's knowledge part has exactly that agent's union as truth
     set, so on a contracted model the announcement's truth set is the
-    choice's extension.  With a positive budget each agent announces a
-    smallest formula for its union (smallest_formulas, on any model).
-    Otherwise, or once that search exceeds the budget, each agent
+    intersection of the unions.  With a positive budget each agent
+    announces a smallest formula for its union (smallest_formulas, on any
+    model).  Otherwise, or once that search exceeds the budget, each agent
     announces the disjunction of the characteristic formulas of the
     classes its union covers: `chars` when given (then `model` must be
     contracted), else those of the model's contraction.
     """
-    unions = choice.per_agent_union
-    bodies = smallest_formulas(model, [mask for _, mask in unions], budget) if budget > 0 else None
+    bodies = smallest_formulas(model, [mask for _, mask in parts], budget) if budget > 0 else None
     if bodies is not None:
-        return GroupKnowledgeFormula(tuple((agent, bodies[mask]) for agent, mask in unions))
+        return GroupKnowledgeFormula(tuple((agent, bodies[mask]) for agent, mask in parts))
     if chars is None:
         quotient, mapping = contract(model)
         chars = characteristic_formulas(quotient)
-        unions = tuple(
+        parts = tuple(
             (agent, quotient.state_mask({mapping[s] for s in model.states_in(mask)}))
-            for agent, mask in unions
+            for agent, mask in parts
         )
         model = quotient
     return GroupKnowledgeFormula(
         tuple(
-            (agent, reduce(Or, [chars[s] for s in model.states_in(mask)])) for agent, mask in unions
+            (agent, reduce(Or, [chars[s] for s in model.states_in(mask)])) for agent, mask in parts
         )
     )
 

@@ -7,7 +7,6 @@ from corgal import (
     Ann,
     Atom,
     Bot,
-    ChoiceSet,
     Coal,
     CoalDual,
     EnumerationCapExceeded,
@@ -281,9 +280,7 @@ class TestWitnesses:
                 return quotient.state_mask({mapping[s] for s in m.states_in(mask)})
 
             parts = tuple((a, image(truth_set(m, body))) for a, body in smallest.witness.bindings)
-            extension = image(truth_set(m, smallest.witness.denotation()))
-            choice = ChoiceSet(tuple(a for a, _ in parts), parts, extension)
-            expected = definable_formula(quotient, choice, characteristic_formulas(quotient))
+            expected = definable_formula(quotient, parts, characteristic_formulas(quotient))
             assert render_formula(report.witness.denotation()) == render_formula(
                 expected.denotation()
             )

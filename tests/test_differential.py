@@ -1,4 +1,4 @@
-"""evaluate() against a naive reference evaluator.
+"""evaluate() and evaluate_witness() against a naive reference evaluator.
 
 The reference follows the semantics literally, with no contraction and no
 caches: an announcement restricts the model with update(), and a group's
@@ -38,10 +38,12 @@ from corgal import (
     el_definable_know_sets,
     enumerate_small_models,
     evaluate,
+    evaluate_witness,
     gen_formula,
     parse_formula,
     random_model,
     train_model,
+    truth_set,
     update,
 )
 
@@ -205,6 +207,66 @@ def test_bundled_scenarios(name):
     formulas += _formulas(model.atoms, model.agents, 20)
     for f in formulas:
         agree(model, f)
+
+
+def _target(model: EpistemicModel, text: str) -> int:
+    """The extension an `evaluate_witness` trace entry names, as a mask."""
+    names = text.rsplit(" -> ", 1)[1].strip("{}")
+    return model.state_mask(names.split(",") if names else [])
+
+
+def pointed_cases(model: EpistemicModel, group: frozenset[str], body):
+    """Each quantified formula over `body`, whether it is a box, and its
+    announcements: (extension, scope, ok) where the clause holds at a
+    state w of `scope` for that announcement iff ok(w)."""
+    options = announcements(model, group)
+    responses = announcements(model, frozenset(model.agents) - group)
+    for chi_text in ("top", "p0"):
+        chi = reference(model, parse_formula(chi_text))
+        entries = []
+        for x in options:
+            t = after(model, x & chi, body) if x & chi else 0
+            entries.append((x, x & chi, lambda w, t=t: bool(t & w)))
+        yield RelGroup(group, parse_formula(chi_text), body), True, entries
+        yield RelGroupDual(group, parse_formula(chi_text), body), False, entries
+    joint = {x & y: after(model, x & y, body) for x in options for y in responses if x & y}
+
+    def answered(x: int, w: int) -> list[bool]:
+        return [bool(joint[x & y] & w) for y in responses if y & w]
+
+    for op, box, rule in ((Coal, True, any), (CoalDual, False, all)):
+        yield op(group, body), box, [
+            (x, x, lambda w, x=x, rule=rule: rule(answered(x, w))) for x in options
+        ]
+
+
+def test_pointed_path_against_the_reference():
+    # verdict, trace, silence first and witness of evaluate_witness at every
+    # point, for a body outside the positive fragment
+    body = parse_formula("~K a0 p0 | K a1 p0")
+    groups = [frozenset(), frozenset({"a0"}), frozenset({"a0", "a1"})]
+    witnessed = 0
+    for model in [*enumerate_small_models(3, 2, 1), *doubled_models()]:
+        for group in groups:
+            for f, box, entries in pointed_cases(model, group, body):
+                expected = reference(model, f)
+                for i, state in enumerate(model.states):
+                    w = 1 << i
+                    report = evaluate_witness(model, state, f)
+                    assert report.verdict == bool(expected & w), (model, state, str(f))
+                    wanted = {x: ok(w) for x, scope, ok in entries if scope & w}
+                    got = [(_target(model, e.decomposition), e.verdict) for e in report.trace]
+                    assert len(got) == len(wanted) and dict(got) == wanted, (model, state, str(f))
+                    if got:
+                        assert got[0][0] == model.full
+                    deciding = [x for x, ok in got if ok != box]
+                    if not deciding:
+                        assert report.witness is None
+                        continue
+                    witnessed += 1
+                    assert truth_set(model, report.witness.denotation()) == deciding[0]
+                    assert evaluate(model, state, report.recheck) == report.recheck_expected
+    assert witnessed > 1000
 
 
 def test_random_three_agent_models():

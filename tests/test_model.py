@@ -27,8 +27,9 @@ from corgal import (
     truth_set,
     update,
 )
-from corgal.model import ChoiceSet, characteristic_size
+from corgal.model import characteristic_size, refinement
 from corgal.validity import enumerate_small_models
+from test_differential import doubled_models
 
 
 def two_state_twin():
@@ -138,6 +139,55 @@ class TestContract:
         assert mapping["y"] == "x"
 
 
+def signature_rounds(m: EpistemicModel, domain: int) -> list[list[int]]:
+    """Bisimulation classes of M|domain round by round, by per-state
+    signatures: round 0 by valuation, then a state's label is its old one
+    together with, per agent, the set of old labels its block in M|domain
+    holds; stop once a round splits nothing."""
+    states = [i for i in range(m.n) if domain >> i & 1]
+    labels = {i: tuple(m.valuation_mask(p) >> i & 1 for p in m.atoms) for i in states}
+    history = [labels]
+    while True:
+        step = {
+            i: (labels[i], tuple(
+                frozenset(labels[j] for j in states if m.block_of(a, i) >> j & 1)
+                for a in m.agents
+            ))
+            for i in states
+        }
+        if len(set(step.values())) == len(set(labels.values())):
+            break
+        labels = step
+        history.append(labels)
+    rounds = []
+    for labels in history:
+        classes: dict = {}
+        for i in states:
+            classes[labels[i]] = classes.get(labels[i], 0) | 1 << i
+        rounds.append(list(classes.values()))  # first-seen order: by lowest state
+    return rounds
+
+
+class TestRefinement:
+    def test_rounds_match_signature_refinement(self):
+        models = [*enumerate_small_models(3, 2, 1), *doubled_models()]
+        models += [random_model(seed, 7, 3, 1) for seed in range(30)]
+        checked, deepest = 0, 0
+        for m in models:
+            domains = {m.full} | {m.valuation_mask(p) for p in m.atoms}
+            domains |= {truth_set(m, Know(a, Atom(p))) for a in m.agents for p in m.atoms}
+            for domain in domains - {0}:
+                rounds, widened = refinement(m, domain)
+                assert rounds == signature_rounds(m, domain), (m, domain)
+                for a in m.agents:
+                    blocks = [b & domain for b in m.blocks(a) if b & domain]
+                    expected = {sum(c for c in rounds[-1] if c & b) for b in blocks}
+                    assert widened[a] == tuple(sorted(expected, key=lambda u: u & -u))
+                checked += 1
+                deepest = max(deepest, len(rounds))
+        assert checked > 700 and deepest > 4
+
+
 class TestCharacteristicFormulas:
     def test_train_states_are_pinned(self, train):
         chars = characteristic_formulas(train)
@@ -242,17 +292,17 @@ class TestDefinableFormula:
         target = choice_sets(counterexample, {"a"})
         union = counterexample.state_mask(["pqr", "qr", "pq"])
         choice = next(c for c in target if c.extension == union)
-        psi = definable_formula(counterexample, choice)
+        psi = definable_formula(counterexample, choice.per_agent_union)
         assert truth_set(counterexample, psi.denotation()) == union
         assert truth_set(counterexample, Know("a", Atom("q"))) == union
 
     def test_empty_group(self, counterexample):
         trivial = choice_sets(counterexample, frozenset())[0]
-        assert definable_formula(counterexample, trivial).denotation() == TOP
+        assert definable_formula(counterexample, trivial.per_agent_union).denotation() == TOP
 
     def test_full_union_is_silence(self, counterexample):
         sets = choice_sets(counterexample, {"b"})
-        psi = definable_formula(counterexample, sets[0])
+        psi = definable_formula(counterexample, sets[0].per_agent_union)
         assert truth_set(counterexample, psi.denotation()) == counterexample.full
 
     def test_extension_always_matches(self):
@@ -262,13 +312,13 @@ class TestDefinableFormula:
                 for c in choice_sets(m, group):
                     if c.extension == 0:
                         continue
-                    psi = definable_formula(m, c)
+                    psi = definable_formula(m, c.per_agent_union)
                     assert truth_set(m, psi.denotation()) == c.extension
 
     def test_search_gives_smallest_bodies(self, counterexample):
         union = counterexample.state_mask(["pqr", "qr", "pq"])
-        choice = ChoiceSet(("a", "b"), (("a", union), ("b", counterexample.full)), union)
-        psi = definable_formula(counterexample, choice, budget=10**6)
+        parts = (("a", union), ("b", counterexample.full))
+        psi = definable_formula(counterexample, parts, budget=10**6)
         assert psi.bindings == (("a", Atom("q")), ("b", TOP))
 
     def test_fallback_goes_through_the_contraction(self):
@@ -288,11 +338,10 @@ class TestDefinableFormula:
                     (a, m.state_mask(s for s in m.states if mapping[s] in quotient.states_in(mask)))
                     for a, mask in c.per_agent_union
                 )
-                choice = ChoiceSet(c.group, parts, 0)
-                psi = definable_formula(m, choice)
-                assert psi == definable_formula(quotient, c, chars)
-                assert definable_formula(m, choice, budget=0) == psi
-                searched = definable_formula(m, choice, budget=10**6)
+                psi = definable_formula(m, parts)
+                assert psi == definable_formula(quotient, c.per_agent_union, chars)
+                assert definable_formula(m, parts, budget=0) == psi
+                searched = definable_formula(m, parts, budget=10**6)
                 for (a, body), (_, mask) in zip(searched.bindings, parts):
                     assert truth_set(m, body) == mask
                     assert tree_size(body) <= tree_size(dict(psi.bindings)[a])
@@ -387,7 +436,7 @@ class TestCharacteristicSize:
         for m in models:
             for a in m.agents:
                 for u in agent_unions(m, a)[:8]:
-                    body = definable_formula(m, ChoiceSet((a,), ((a, u),), u)).bindings[0][1]
+                    body = definable_formula(m, ((a, u),)).bindings[0][1]
                     assert characteristic_size(m, [u]) == tree_size(body)
                     checked += 1
         assert checked > 1000
