@@ -2,8 +2,8 @@
 
 An Evaluator keeps its caches per root model, the model object a query
 names.  Every model the semantics visits below a root (the restriction
-after an announcement, the contraction a quantifier works on) is a set of
-the root's states, held as a bitmask S: truth(S, f) is memoised on (S, f)
+after an announcement, an extension a quantifier weighs) is a set of the
+root's states, held as a bitmask S: truth(S, f) is memoised on (S, f)
 and announcing a in M|S leaves S & truth(S, a).  Formula hashes are
 memoised on the nodes, so a key costs O(1) to hash.
 
@@ -26,8 +26,8 @@ is its canonical decomposition R_a(X), the union of member a's widened
 blocks that meet X.  Each member announces a smallest epistemic formula
 true exactly on R_a(X), found by a size-ordered search over the root
 model's truth sets; only when that search exceeds its budget does the
-witness fall back to the characteristic formulas of the contracted
-model.
+witness fall back to the characteristic formulas of the model's
+bisimulation classes (model.definable_formula).
 """
 
 from __future__ import annotations
@@ -59,28 +59,13 @@ from .formula import (
 )
 from .model import (
     DEFAULT_ENUMERATION_CAP,
-    ChoiceSet,
     EnumerationCapExceeded,
     EpistemicModel,
     StateSet,
     block_unions,
-    characteristic_formulas,
-    characteristic_size,
-    choice_sets,
-    contract,
     definable_formula,
     refinement,
 )
-
-
-# The smallest-witness search builds at most WITNESS_SEARCH_BASE candidate
-# formulas plus WITNESS_SEARCH_PER_NODE per tree node of the
-# characteristic-formula witness it would replace, then falls back to that
-# witness.  A candidate costs about as much as a node of the fallback
-# (building, checking, rendering) and the base about its fixed cost, so a
-# search that gives up adds about a quarter to what the fallback costs.
-WITNESS_SEARCH_BASE = 10_000
-WITNESS_SEARCH_PER_NODE = 0.25
 
 
 class UndeclaredSymbol(Exception):
@@ -359,18 +344,6 @@ def _decomposition_text(
     return " ".join(f"{a}:{{{','.join(model.states_in(mask))}}}" for a, mask in parts) + " -> " + target
 
 
-def _witness(
-    model: EpistemicModel, parts: tuple[tuple[str, StateSet], ...]
-) -> GroupKnowledgeFormula:
-    """The joint announcement whose members' knowledge sets are `parts`:
-    each member announces a smallest formula true exactly on its set, or,
-    once the search exceeds its budget, the disjunction of the contracted
-    model's characteristic formulas of its states."""
-    nodes = characteristic_size(model, [mask for _, mask in parts])
-    budget = int(WITNESS_SEARCH_BASE + WITNESS_SEARCH_PER_NODE * nodes)
-    return definable_formula(model, parts, budget=budget)
-
-
 _OPERATOR = {RelGroup: "[G,chi]", RelGroupDual: "<G,chi>", Coal: "[<G>]", CoalDual: "<[G]>"}
 
 
@@ -408,38 +381,10 @@ def evaluate_witness(
         return WitnessReport(verdict, None, trace)
 
     # announcing the witness in place of the quantifier replays the decision
-    witness = _witness(model, deciding)
+    witness = definable_formula(model, deciding)
     den = witness.denotation()
     if isinstance(f, (RelGroup, RelGroupDual)):
         recheck = (Ann if box else AnnDual)(And(den, f.cond), f.sub)
     else:
         recheck = (RelGroupDual if box else RelGroup)(frozenset(model.agents) - f.group, den, f.sub)
     return WitnessReport(verdict, witness, trace, recheck, not box)
-
-
-def evaluate_coalition_alt(
-    model: EpistemicModel, state: str, f: Formula, cap: int = DEFAULT_ENUMERATION_CAP
-) -> bool:
-    """Coalition operators through their group-announcement reformulation.
-
-    Each of the coalition's options is turned into a concrete announcement
-    and handed to the relativised group operator of the remaining agents;
-    an independent route that must agree with evaluate().
-    """
-    if not isinstance(f, (Coal, CoalDual)):
-        raise NotQuantified("the outermost operator is not a coalition announcement")
-    check_symbols(model, f)
-    quotient, mapping = contract(model)
-    model.state_index(state)  # rejects an unknown state
-    v = mapping[state]
-    others = frozenset(quotient.agents) - f.group
-    chars = characteristic_formulas(quotient)
-    options = choice_sets(quotient, f.group, cap=cap)
-    ev = Evaluator(cap=cap)
-    response = RelGroupDual if isinstance(f, Coal) else RelGroup
-
-    def announced(c: ChoiceSet) -> Formula:
-        return definable_formula(quotient, c.per_agent_union, chars).denotation()
-
-    verdicts = (ev.holds(quotient, v, response(others, announced(c), f.sub)) for c in options)
-    return all(verdicts) if isinstance(f, Coal) else any(verdicts)

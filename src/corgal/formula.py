@@ -402,10 +402,6 @@ class GroupKnowledgeFormula:
                 )
         object.__setattr__(self, "bindings", ordered)
 
-    @classmethod
-    def from_dict(cls, mapping: dict[str, Formula]) -> "GroupKnowledgeFormula":
-        return cls(tuple(mapping.items()))
-
     @property
     def group(self) -> frozenset[str]:
         return frozenset(a for a, _ in self.bindings)

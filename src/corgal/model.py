@@ -7,13 +7,16 @@ Bisimulation classes are computed in one place, refinement(): partition
 refinement on masks over any restriction M|S, which gives the classes of
 every round and each agent's blocks widened to the final classes.  The
 checker's quantifiers, contract(), characteristic_formulas() and
-characteristic_size() all use it.  A choice set is one union of
-equivalence classes per group member; on a bisimulation-contracted model
-these are exactly the truth sets of the joint announcements the group
-operators quantify over, and definable_formula() turns the members'
-unions, given as (agent, mask) pairs, back into a concrete announcement:
-from smallest_formulas(), a smallest epistemic formula per truth set on
-any model, contracted or not, or from characteristic formulas.
+characteristic_size() all use it; the last two share one recurrence over
+the final classes, so neither needs a contracted model.  A choice set is
+one union of equivalence classes per group member; on a
+bisimulation-contracted model these are exactly the truth sets of the
+joint announcements the group operators quantify over.
+definable_formula() turns the members' unions, given as (agent, mask)
+pairs, back into a concrete announcement on any model: a smallest
+epistemic formula per union from smallest_formulas(), or, once that
+search exceeds its budget, the characteristic formulas of the classes
+each union covers.
 """
 
 from __future__ import annotations
@@ -39,6 +42,16 @@ from .formula import (
 StateSet = int
 
 DEFAULT_ENUMERATION_CAP = 10**6
+
+# The smallest-formula search of definable_formula() builds at most
+# WITNESS_SEARCH_BASE candidate formulas plus WITNESS_SEARCH_PER_NODE per
+# tree node of the characteristic-formula bodies it would replace, then
+# falls back to those bodies.  A candidate costs about as much as a node of
+# the fallback (building, checking, rendering) and the base about its fixed
+# cost, so a search that gives up adds about a quarter to what the
+# fallback costs.
+WITNESS_SEARCH_BASE = 10_000
+WITNESS_SEARCH_PER_NODE = 0.25
 
 
 class EnumerationCapExceeded(Exception):
@@ -249,22 +262,34 @@ def contract(model: EpistemicModel) -> tuple[EpistemicModel, dict[str, str]]:
     return quotient, dict(zip(model.states, name_of))
 
 
-def characteristic_formulas(model: EpistemicModel) -> dict[str, Formula]:
-    """One epistemic formula per state, true there and nowhere else.
-
-    Requires a contracted model.  Round 0 describes the valuation; each
-    later round records, per agent, which round-k descriptions are
-    considered possible and that nothing else is.  The number of rounds
-    equals the number of refinement steps the model needs, so the formulas
-    are as shallow as the model allows.
-    """
+def _class_skeleton(
+    model: EpistemicModel,
+) -> tuple[list[StateSet], list[int], list[list[list[int]]], int]:
+    """The final classes of refinement(model, model.full), their lowest
+    states, each class's neighbours per agent (the classes its lowest
+    state's block meets, by index) and the number of rounds after round 0:
+    the recurrence that characteristic_formulas() builds and
+    characteristic_size() counts."""
     rounds, _ = refinement(model, model.full)
-    shared = next((c for c in rounds[-1] if c & (c - 1)), 0)
-    if shared:
-        x, y = model.states_in(shared)[:2]
-        raise ValueError(
-            f"model is not bisimulation-contracted: states {x!r} and {y!r} are bisimilar"
-        )
+    classes = rounds[-1]
+    reps = [_first(c) for c in classes]
+    neighbours = [
+        [[k for k, d in enumerate(classes) if d & block] for block in blocks]
+        for blocks in ([model.block_of(a, i) for a in model.agents] for i in reps)
+    ]
+    return classes, reps, neighbours, len(rounds) - 1
+
+
+def characteristic_formulas(model: EpistemicModel) -> dict[str, Formula]:
+    """One epistemic formula per bisimulation class, true exactly on it,
+    given for every state; bisimilar states share one.
+
+    Round 0 describes the valuation; each later round records, per agent,
+    which round-k descriptions are considered possible and that nothing
+    else is.  The number of rounds equals the number of refinement steps
+    the model needs, so the formulas are as shallow as the model allows.
+    """
+    classes, reps, neighbours, depth = _class_skeleton(model)
 
     def describe(i: int) -> Formula:
         lits = [
@@ -273,28 +298,26 @@ def characteristic_formulas(model: EpistemicModel) -> dict[str, Formula]:
         ]
         return reduce(And, lits) if lits else TOP
 
-    current: list[Formula] = [describe(i) for i in range(model.n)]
-    for _ in range(len(rounds) - 1):
+    valuations = [describe(i) for i in reps]
+    current = valuations
+    for _ in range(depth):
         previous = current
         current = []
-        for i in range(model.n):
-            parts: list[Formula] = [describe(i)]
-            for agent in model.agents:
-                neighbours = list(_bits(model.block_of(agent, i)))
-                for j in neighbours:
-                    parts.append(Not(Know(agent, Not(previous[j]))))
-                parts.append(Know(agent, reduce(Or, [previous[j] for j in neighbours])))
+        for c, per_agent in enumerate(neighbours):
+            parts = [valuations[c]]
+            for agent, ks in zip(model.agents, per_agent):
+                parts += [Not(Know(agent, Not(previous[k]))) for k in ks]
+                parts.append(Know(agent, reduce(Or, [previous[k] for k in ks])))
             current.append(reduce(And, parts))
-    return {model.states[i]: current[i] for i in range(model.n)}
+    class_of = {i: k for k, c in enumerate(classes) for i in _bits(c)}
+    return {s: current[class_of[i]] for i, s in enumerate(model.states)}
 
 
 def characteristic_size(model: EpistemicModel, targets: Iterable[StateSet]) -> int:
     """Tree nodes of the characteristic-formula disjunctions that define
     the targets (unions of bisimulation classes), the bodies
     definable_formula() falls back to, counted without building them."""
-    rounds, _ = refinement(model, model.full)
-    classes = rounds[-1]
-    reps = [_first(c) for c in classes]
+    classes, reps, neighbours, depth = _class_skeleton(model)
     n_atoms = len(model.atoms)
     # round 0: one literal per atom (~p has two nodes), joined by &
     describe = [
@@ -303,17 +326,16 @@ def characteristic_size(model: EpistemicModel, targets: Iterable[StateSet]) -> i
         for i in reps
     ]
     size = describe
-    for _ in range(len(rounds) - 1):
+    for _ in range(depth):
         previous = size
         size = []
-        for c, i in enumerate(reps):
+        for c, per_agent in enumerate(neighbours):
             total, parts = describe[c], 1
-            for agent in model.agents:
-                block = model.block_of(agent, i)
-                neighbours = [previous[k] for k, d in enumerate(classes) if d & block]
-                # ~K a ~f per neighbour f, then K a of their disjunction
-                total += sum(3 + f for f in neighbours) + sum(neighbours) + len(neighbours)
-                parts += len(neighbours) + 1
+            for ks in per_agent:
+                # ~K a ~f (f + 3 nodes) per neighbour f, then K a of their
+                # disjunction (the sum plus one node per neighbour)
+                total += 2 * sum([previous[k] for k in ks]) + 4 * len(ks)
+                parts += len(ks) + 1
             size.append(total + parts - 1)
     nodes = 0
     for mask in targets:
@@ -475,39 +497,31 @@ def choice_sets(
 
 
 def definable_formula(
-    model: EpistemicModel,
-    parts: Sequence[tuple[str, StateSet]],
-    chars: dict[str, Formula] | None = None,
-    budget: int = 0,
+    model: EpistemicModel, parts: Sequence[tuple[str, StateSet]]
 ) -> GroupKnowledgeFormula:
     """Concrete joint announcement whose members' knowledge sets are
-    `parts`, one (agent, union of that agent's classes) pair per member.
+    `parts`, one (agent, union of that agent's widened blocks) pair per
+    member, on any model.
 
     Each agent's knowledge part has exactly that agent's union as truth
-    set, so on a contracted model the announcement's truth set is the
-    intersection of the unions.  With a positive budget each agent
-    announces a smallest formula for its union (smallest_formulas, on any
-    model).  Otherwise, or once that search exceeds the budget, each agent
-    announces the disjunction of the characteristic formulas of the
-    classes its union covers: `chars` when given (then `model` must be
-    contracted), else those of the model's contraction.
+    set.  Each agent announces a smallest formula for its union
+    (smallest_formulas); once that search exceeds its budget, the
+    disjunction of the characteristic formulas of the bisimulation
+    classes its union covers, in the order of their lowest states.
     """
-    bodies = smallest_formulas(model, [mask for _, mask in parts], budget) if budget > 0 else None
-    if bodies is not None:
-        return GroupKnowledgeFormula(tuple((agent, bodies[mask]) for agent, mask in parts))
-    if chars is None:
-        quotient, mapping = contract(model)
-        chars = characteristic_formulas(quotient)
-        parts = tuple(
-            (agent, quotient.state_mask({mapping[s] for s in model.states_in(mask)}))
-            for agent, mask in parts
-        )
-        model = quotient
-    return GroupKnowledgeFormula(
-        tuple(
-            (agent, reduce(Or, [chars[s] for s in model.states_in(mask)])) for agent, mask in parts
-        )
+    masks = [mask for _, mask in parts]
+    nodes = characteristic_size(model, masks)
+    bodies = smallest_formulas(
+        model, masks, int(WITNESS_SEARCH_BASE + WITNESS_SEARCH_PER_NODE * nodes)
     )
+    if bodies is None:
+        chars = characteristic_formulas(model)
+        # bisimilar states share their class's formula, so dedup keeps one per class
+        bodies = {
+            mask: reduce(Or, dict.fromkeys(chars[s] for s in model.states_in(mask)))
+            for mask in masks
+        }
+    return GroupKnowledgeFormula(tuple((agent, bodies[mask]) for agent, mask in parts))
 
 
 def random_model(seed: int, n_states: int, n_agents: int, n_atoms: int) -> EpistemicModel:

@@ -1,7 +1,8 @@
 """Property-based harness: seeded generators, axiom and rule soundness
 suites, the validity schemas, contrapositive witness checks for the
-infinitary rules, reproduction of the bundled scenarios, and the
-definability oracle backing the choice-set machinery.
+infinitary rules, reproduction of the bundled scenarios, and two
+independent oracles: the definability oracle backing the choice-set
+machinery and the coalition operators' group-announcement reformulation.
 
 Every suite is deterministic in (seed, config); failures carry enough
 text to replay them through the parser.
@@ -12,11 +13,19 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
 from typing import Callable, Iterator, Mapping
 
 from .builtin import COUNTEREXAMPLE_DOCUMENT, TRAIN_DOCUMENT
-from .checker import Evaluator, evaluate, evaluate_witness, truth_set
+from .checker import (
+    Evaluator,
+    NotQuantified,
+    check_symbols,
+    evaluate,
+    evaluate_witness,
+    truth_set,
+)
 from .formula import (
     And,
     Ann,
@@ -47,9 +56,14 @@ from .formula import (
     stratum,
 )
 from .model import (
+    DEFAULT_ENUMERATION_CAP,
+    ChoiceSet,
     EnumerationCapExceeded,
     EpistemicModel,
     StateSet,
+    characteristic_formulas,
+    choice_sets,
+    contract,
     random_model,
     update,
 )
@@ -61,6 +75,7 @@ HARD_MAX_STATES = 6
 _AXIOM_BINDINGS_PER_MODEL = 20
 _RULE_BINDINGS_PER_MODEL = 6
 _THEOREM_BINDINGS_PER_MODEL = 2
+_FORMULA_DEPTH = 3
 
 
 @dataclass
@@ -70,13 +85,12 @@ class SuiteConfig:
     max_states: int = 5
     n_agents: int = 3
     n_atoms: int = 3
-    formula_depth: int = 3
     enumeration_cap: int = 10**6
 
     def __post_init__(self) -> None:
         if self.model_count < 0:
             raise ValueError("model_count must not be negative")
-        for name in ("max_states", "n_agents", "n_atoms", "formula_depth", "enumeration_cap"):
+        for name in ("max_states", "n_agents", "n_atoms", "enumeration_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.max_states > HARD_MAX_STATES:
@@ -374,11 +388,10 @@ def _group_denotation(
 # suite plumbing
 
 
-def _models(cfg: SuiteConfig, rng: random.Random) -> Iterator[tuple[EpistemicModel, str]]:
+def _models(cfg: SuiteConfig, rng: random.Random) -> Iterator[EpistemicModel]:
     for _ in range(cfg.model_count):
         n = max(rng.randint(1, cfg.max_states), rng.randint(1, cfg.max_states))
-        model = random_model(rng.randrange(2**32), n, cfg.n_agents, cfg.n_atoms)
-        yield model, render_model(model)
+        yield random_model(rng.randrange(2**32), n, cfg.n_agents, cfg.n_atoms)
 
 
 def _random_bindings(
@@ -392,7 +405,7 @@ def _random_bindings(
             (Stratum.EL, Stratum.PAL, Stratum.RGAL, Stratum.CORGAL),
             weights=(40, 30, 15, 15),
         )[0]
-        return _gen(rng, target, rng.randint(1, cfg.formula_depth), atoms, agents)
+        return _gen(rng, target, rng.randint(1, _FORMULA_DEPTH), atoms, agents)
 
     group = _gen_group(rng, agents)
     rest = [a for a in agents if a not in group]
@@ -414,7 +427,6 @@ def _random_bindings(
 def _check_valid_on(
     ev: Evaluator,
     model: EpistemicModel,
-    document: str,
     claim: str,
     instance: Formula,
     report: SuiteReport,
@@ -428,7 +440,9 @@ def _check_valid_on(
         return
     if t != model.full:
         state = model.states_in(model.full & ~t)[0]
-        report.failures.append(Failure(claim, document, state, render_formula(instance)))
+        report.failures.append(
+            Failure(claim, render_model(model), state, render_formula(instance))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +456,7 @@ def run_axiom_suite(
     """Every axiom instance must hold at every state of every sampled model."""
     report = SuiteReport("axioms", 0)
     rng = random.Random(cfg.seed)
-    for index, (model, document) in enumerate(_models(cfg, rng)):
+    for index, model in enumerate(_models(cfg, rng)):
         ev = Evaluator(cap=cfg.enumeration_cap)
         for binding_no in range(_AXIOM_BINDINGS_PER_MODEL):
             bindings = _random_bindings(rng, model, cfg)
@@ -450,7 +464,7 @@ def run_axiom_suite(
                 builder = overrides.get(axiom_id) if overrides else None
                 instance = builder(bindings) if builder else axiom_instance(axiom_id, bindings)
                 _check_valid_on(
-                    ev, model, document, axiom_id, instance, report,
+                    ev, model, axiom_id, instance, report,
                     f"model {index}, binding {binding_no}",
                 )
     return report
@@ -469,7 +483,7 @@ def run_rule_suite(
     """
     report = SuiteReport("rules", 0)
     rng = random.Random(cfg.seed)
-    for index, (model, document) in enumerate(_models(cfg, rng)):
+    for index, model in enumerate(_models(cfg, rng)):
         ev = Evaluator(cap=cfg.enumeration_cap)
         for binding_no in range(_RULE_BINDINGS_PER_MODEL):
             bindings = _random_bindings(rng, model, cfg)
@@ -497,7 +511,7 @@ def run_rule_suite(
             )
             for claim, instance in conclusions:
                 _check_valid_on(
-                    ev, model, document, claim, instance, report,
+                    ev, model, claim, instance, report,
                     f"model {index}, binding {binding_no}",
                 )
     return report
@@ -548,7 +562,7 @@ def run_quantifier_rule_suite(cfg: SuiteConfig) -> SuiteReport:
     report = SuiteReport("quantifier-rules", 0)
     rng = random.Random(cfg.seed)
     witnessed = 0
-    for index, (model, document) in enumerate(_models(cfg, rng)):
+    for index, model in enumerate(_models(cfg, rng)):
         ev = Evaluator(cap=cfg.enumeration_cap)
         for attempt in range(4):
             nf = _gen_nf(rng, rng.randint(0, 2), model.atoms, model.agents)
@@ -582,7 +596,7 @@ def run_quantifier_rule_suite(cfg: SuiteConfig) -> SuiteReport:
                         if ev.holds(model, state, premise):
                             report.failures.append(
                                 Failure(
-                                    rule, document, state, render_formula(conclusion),
+                                    rule, render_model(model), state, render_formula(conclusion),
                                     detail="witness did not refute the premise: "
                                     + render_formula(premise),
                                 )
@@ -601,7 +615,7 @@ def run_quantifier_rule_suite(cfg: SuiteConfig) -> SuiteReport:
                 nf_instantiate(nf, implication.right),
             )
             _check_valid_on(
-                ev, model, document, "nf-monotone", check, report,
+                ev, model, "nf-monotone", check, report,
                 f"model {index}, attempt {attempt}",
             )
     report.notes.append(f"witnessed-refutations: {witnessed}")
@@ -613,7 +627,7 @@ def run_theorem_suite(cfg: SuiteConfig) -> SuiteReport:
     announcements, instantiated at random."""
     report = SuiteReport("theorems", 0)
     rng = random.Random(cfg.seed)
-    for index, (model, document) in enumerate(_models(cfg, rng)):
+    for index, model in enumerate(_models(cfg, rng)):
         ev = Evaluator(cap=cfg.enumeration_cap)
         all_agents = frozenset(model.agents)
         for binding_no in range(_THEOREM_BINDINGS_PER_MODEL):
@@ -654,7 +668,7 @@ def run_theorem_suite(cfg: SuiteConfig) -> SuiteReport:
             ]
             for claim, instance in schemas:
                 _check_valid_on(
-                    ev, model, document, claim, instance, report,
+                    ev, model, claim, instance, report,
                     f"model {index}, binding {binding_no}",
                 )
     return report
@@ -737,7 +751,6 @@ def run_translation_and_measure_suite(cfg: SuiteConfig) -> SuiteReport:
     report = SuiteReport("translation-measures", 0)
     rng = random.Random(cfg.seed)
     model: EpistemicModel | None = None
-    document = ""
     ev = Evaluator(cap=cfg.enumeration_cap)
     agents = tuple(f"a{i}" for i in range(cfg.n_agents))
     atoms = tuple(f"p{i}" for i in range(cfg.n_atoms))
@@ -748,9 +761,8 @@ def run_translation_and_measure_suite(cfg: SuiteConfig) -> SuiteReport:
         if model is None or i % 5 == 0:
             n = max(rng.randint(1, cfg.max_states), rng.randint(1, cfg.max_states))
             model = random_model(rng.randrange(2**32), n, cfg.n_agents, cfg.n_atoms)
-            document = render_model(model)
             ev = Evaluator(cap=cfg.enumeration_cap)
-        f = _gen(rng, Stratum.PAL, rng.randint(1, cfg.formula_depth), model.atoms, model.agents)
+        f = _gen(rng, Stratum.PAL, rng.randint(1, _FORMULA_DEPTH), model.atoms, model.agents)
         translated = pal_to_el(f)
         report.cases += 1
         if stratum(translated) != Stratum.EL:
@@ -765,14 +777,14 @@ def run_translation_and_measure_suite(cfg: SuiteConfig) -> SuiteReport:
             diff = ev.truth_set(model, f) ^ ev.truth_set(model, translated)
             state = model.states_in(diff)[0]
             report.failures.append(
-                Failure("translation-equivalence", document, state, render_formula(f),
+                Failure("translation-equivalence", render_model(model), state, render_formula(f),
                         detail=render_formula(translated))
             )
 
     for i in range(2 * cfg.model_count):
-        tau = _gen(rng, Stratum.CORGAL, rng.randint(1, cfg.formula_depth), atoms, agents)
-        chi = _gen(rng, Stratum.CORGAL, rng.randint(1, cfg.formula_depth), atoms, agents)
-        phi = _gen(rng, Stratum.CORGAL, rng.randint(1, cfg.formula_depth), atoms, agents)
+        tau = _gen(rng, Stratum.CORGAL, rng.randint(1, _FORMULA_DEPTH), atoms, agents)
+        chi = _gen(rng, Stratum.CORGAL, rng.randint(1, _FORMULA_DEPTH), atoms, agents)
+        phi = _gen(rng, Stratum.CORGAL, rng.randint(1, _FORMULA_DEPTH), atoms, agents)
         group = _gen_group(rng, agents)
         den = _gen_group_knowledge(rng, group, atoms, agents).denotation()
         others = frozenset(agents) - group
@@ -823,7 +835,7 @@ def run_open_question_search(cfg: SuiteConfig) -> SuiteReport:
     """
     report = SuiteReport("open-questions", 0)
     rng = random.Random(cfg.seed)
-    for index, (model, document) in enumerate(_models(cfg, rng)):
+    for index, model in enumerate(_models(cfg, rng)):
         ev = Evaluator(cap=cfg.enumeration_cap)
         group = _gen_group(rng, model.agents)
         phi = _gen(rng, Stratum.PAL, 2, model.atoms, model.agents)
@@ -847,7 +859,7 @@ def run_open_question_search(cfg: SuiteConfig) -> SuiteReport:
                 state = model.states_in(bad & model.full)[0]
                 report.notes.append(
                     f"{claim}: countermodel at state {state} with "
-                    f"{render_formula(phi)}; document: {json.dumps(document)}"
+                    f"{render_formula(phi)}; document: {json.dumps(render_model(model))}"
                 )
     return report
 
@@ -864,18 +876,51 @@ SUITES: dict[str, Callable[[SuiteConfig], SuiteReport]] = {
 
 
 # ---------------------------------------------------------------------------
-# definability oracle
+# independent oracles
 
 
-def el_definable_know_sets(
-    model: EpistemicModel, agent: str, max_depth: int | None = None
-) -> set[StateSet]:
-    """Truth sets of "agent knows phi" over all epistemic phi up to the
-    modal-depth bound, by semantic enumeration with truth-set dedup.
+def evaluate_coalition_alt(
+    model: EpistemicModel, state: str, f: Formula, cap: int = DEFAULT_ENUMERATION_CAP
+) -> bool:
+    """Coalition operators through their group-announcement reformulation.
+
+    Each of the coalition's options on the contracted model is announced
+    as the disjunctions of the characteristic formulas of its members'
+    unions and handed to the relativised group operator of the remaining
+    agents; an independent route that must agree with evaluate().
+    """
+    if not isinstance(f, (Coal, CoalDual)):
+        raise NotQuantified("the outermost operator is not a coalition announcement")
+    check_symbols(model, f)
+    quotient, mapping = contract(model)
+    model.state_index(state)  # rejects an unknown state
+    v = mapping[state]
+    others = frozenset(quotient.agents) - f.group
+    chars = characteristic_formulas(quotient)
+    options = choice_sets(quotient, f.group, cap=cap)
+    ev = Evaluator(cap=cap)
+    response = RelGroupDual if isinstance(f, Coal) else RelGroup
+
+    def announced(c: ChoiceSet) -> Formula:
+        return GroupKnowledgeFormula(
+            tuple(
+                (a, reduce(Or, [chars[s] for s in quotient.states_in(mask)]))
+                for a, mask in c.per_agent_union
+            )
+        ).denotation()
+
+    verdicts = (ev.holds(quotient, v, response(others, announced(c), f.sub)) for c in options)
+    return all(verdicts) if isinstance(f, Coal) else any(verdicts)
+
+
+def el_definable_know_sets(model: EpistemicModel, agent: str) -> set[StateSet]:
+    """Truth sets of "agent knows phi" over all epistemic phi, by semantic
+    enumeration with truth-set dedup, one modal-depth level at a time
+    until no new truth set appears (each new level adds a cell, so at most
+    one level per state).
 
     Independent of the partition-subset enumeration it is checked against.
     """
-    depth = model.n if max_depth is None else max_depth
 
     def know(a: str, s: StateSet) -> StateSet:
         mask = 0
@@ -887,7 +932,7 @@ def el_definable_know_sets(
     level = _boolean_closure(
         {model.valuation_mask(p) for p in model.atoms} | {model.full}, model.full
     )
-    for _ in range(depth):
+    for _ in range(model.n):
         grown = set(level)
         for a in model.agents:
             grown.update(know(a, s) for s in level)
@@ -899,23 +944,15 @@ def el_definable_know_sets(
 
 
 def _boolean_closure(seeds: set[StateSet], full: StateSet) -> set[StateSet]:
-    sets = set(seeds) | {full}
-    changed = True
-    while changed:
-        changed = False
-        for s in list(sets):
-            c = full & ~s
-            if c not in sets:
-                sets.add(c)
-                changed = True
-        current = list(sets)
-        for a in current:
-            for b in current:
-                ab = a & b
-                if ab not in sets:
-                    sets.add(ab)
-                    changed = True
-    return sets
+    """The closure of seeds and full under complement and intersection:
+    every union of the cells the seeds cut full into."""
+    cells = [full]
+    for s in seeds:
+        cells = [part for c in cells for part in (c & s, c & ~s) if part]
+    unions = [0]
+    for c in cells:
+        unions += [u | c for u in unions]
+    return set(unions)
 
 
 def _all_set_partitions(items: list[str]) -> list[list[list[str]]]:

@@ -1,8 +1,10 @@
 import random
+from functools import reduce
 
 import pytest
 
-import corgal.checker
+import corgal.cli as cli
+import corgal.model
 from corgal import (
     Ann,
     Atom,
@@ -15,6 +17,7 @@ from corgal import (
     Know,
     Not,
     NotQuantified,
+    Or,
     RelGroup,
     RelGroupDual,
     Stratum,
@@ -29,6 +32,7 @@ from corgal import (
     parse_formula,
     random_model,
     render_formula,
+    render_model,
     truth_set,
     update,
 )
@@ -262,8 +266,8 @@ class TestWitnesses:
         fallbacks = 0
         for m, w, f in cases:
             smallest = evaluate_witness(m, w, f)
-            monkeypatch.setattr(corgal.checker, "WITNESS_SEARCH_BASE", 0)
-            monkeypatch.setattr(corgal.checker, "WITNESS_SEARCH_PER_NODE", 0)
+            monkeypatch.setattr(corgal.model, "WITNESS_SEARCH_BASE", 0)
+            monkeypatch.setattr(corgal.model, "WITNESS_SEARCH_PER_NODE", 0)
             report = evaluate_witness(m, w, f)
             monkeypatch.undo()
             assert report.verdict == smallest.verdict
@@ -280,12 +284,37 @@ class TestWitnesses:
                 return quotient.state_mask({mapping[s] for s in m.states_in(mask)})
 
             parts = tuple((a, image(truth_set(m, body))) for a, body in smallest.witness.bindings)
-            expected = definable_formula(quotient, parts, characteristic_formulas(quotient))
+            with monkeypatch.context() as patch:
+                patch.setattr(corgal.model, "WITNESS_SEARCH_BASE", 0)
+                patch.setattr(corgal.model, "WITNESS_SEARCH_PER_NODE", 0)
+                expected = definable_formula(quotient, parts)
             assert render_formula(report.witness.denotation()) == render_formula(
                 expected.denotation()
             )
             assert len(str(smallest.witness)) <= len(str(report.witness))
         assert fallbacks >= 5
+
+    def test_search_gives_up_on_a_large_model(self, tmp_path, capsys):
+        # the search exceeds its default budget here, so each member
+        # announces the disjunction of its classes' characteristic formulas,
+        # in the order of their lowest states, the quotient's state order
+        m = random_model(3, 20, 3, 1)
+        f = parse_formula("<{a0}, top> (K a1 p0 | K a2 ~p0)")
+        report = evaluate_witness(m, "s0", f)
+        assert report.verdict and report.witness is not None
+        assert evaluate(m, "s0", report.recheck) == report.recheck_expected
+        quotient, _ = contract(m)
+        chars = characteristic_formulas(m)
+        for _, body in report.witness.bindings:
+            mask = truth_set(m, body)
+            covered = [q for q in quotient.states if mask >> m.state_index(q) & 1]
+            assert body == reduce(Or, [chars[q] for q in covered])
+        path = tmp_path / "model.json"
+        path.write_text(render_model(m), encoding="utf-8")
+        argv = ["witness", "--model", str(path), "--state", "s0", "--formula", render_formula(f)]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == ["true", "witness: " + render_formula(report.witness.denotation())]
 
 
 class TestEvaluatorReuse:

@@ -2,6 +2,7 @@ from functools import reduce
 
 import pytest
 
+import corgal.model
 from corgal import (
     And,
     Atom,
@@ -206,9 +207,16 @@ class TestCharacteristicFormulas:
             assert truth_set(counterexample, f) == counterexample.state_mask([state])
             assert _has_no_knowledge(f)
 
-    def test_rejects_uncontracted_models(self):
-        with pytest.raises(ValueError, match="not bisimulation-contracted"):
-            characteristic_formulas(two_state_twin())
+    def test_pins_classes_on_uncontracted_models(self):
+        models = [two_state_twin()] + [random_model(seed, 6, 2, 1) for seed in range(25)]
+        merged = 0
+        for m in models:
+            quotient, mapping = contract(m)
+            merged += quotient.n < m.n
+            for state, f in characteristic_formulas(m).items():
+                bisimilar = [s for s in m.states if mapping[s] == mapping[state]]
+                assert truth_set(m, f) == m.state_mask(bisimilar)
+        assert merged > 5
 
     def test_pins_states_on_contracted_random_models(self):
         for seed in range(25):
@@ -318,19 +326,18 @@ class TestDefinableFormula:
     def test_search_gives_smallest_bodies(self, counterexample):
         union = counterexample.state_mask(["pqr", "qr", "pq"])
         parts = (("a", union), ("b", counterexample.full))
-        psi = definable_formula(counterexample, parts, budget=10**6)
+        psi = definable_formula(counterexample, parts)
         assert psi.bindings == (("a", Atom("q")), ("b", TOP))
 
-    def test_fallback_goes_through_the_contraction(self):
-        # without chars the characteristic route works on any model: each
-        # agent's disjunction runs over the quotient classes its union covers
+    def test_fallback_agrees_with_the_contraction(self, monkeypatch):
+        # the characteristic route works on any model: each agent's
+        # disjunction runs over the bisimulation classes its union covers
         checked = 0
         for seed in range(12):
             m = random_model(seed, 6, 2, 1)
             quotient, mapping = contract(m)
             if quotient.n == m.n:
                 continue
-            chars = characteristic_formulas(quotient)
             for c in choice_sets(quotient, {"a0", "a1"}):
                 if c.extension == 0:
                     continue
@@ -338,10 +345,12 @@ class TestDefinableFormula:
                     (a, m.state_mask(s for s in m.states if mapping[s] in quotient.states_in(mask)))
                     for a, mask in c.per_agent_union
                 )
-                psi = definable_formula(m, parts)
-                assert psi == definable_formula(quotient, c.per_agent_union, chars)
-                assert definable_formula(m, parts, budget=0) == psi
-                searched = definable_formula(m, parts, budget=10**6)
+                with monkeypatch.context() as patch:
+                    patch.setattr(corgal.model, "WITNESS_SEARCH_BASE", 0)
+                    patch.setattr(corgal.model, "WITNESS_SEARCH_PER_NODE", 0)
+                    psi = definable_formula(m, parts)
+                    assert psi == definable_formula(quotient, c.per_agent_union)
+                searched = definable_formula(m, parts)
                 for (a, body), (_, mask) in zip(searched.bindings, parts):
                     assert truth_set(m, body) == mask
                     assert tree_size(body) <= tree_size(dict(psi.bindings)[a])
@@ -428,8 +437,10 @@ class TestSmallestFormulas:
 
 
 class TestCharacteristicSize:
-    def test_counts_the_fallback_bodies(self):
+    def test_counts_the_fallback_bodies(self, monkeypatch):
         # on contracted and uncontracted models of up to five refinement rounds
+        monkeypatch.setattr(corgal.model, "WITNESS_SEARCH_BASE", 0)
+        monkeypatch.setattr(corgal.model, "WITNESS_SEARCH_PER_NODE", 0)
         models = list(enumerate_small_models(3, 2, 1))
         models += [random_model(seed, 7, 3, 1) for seed in range(30)]
         checked = 0
