@@ -28,6 +28,61 @@ true exactly on R_a(X), found by a size-ordered search over the root
 model's truth sets; only when that search exceeds its budget does the
 witness fall back to the characteristic formulas of the model's
 bisimulation classes (model.definable_formula).
+
+Quantifiers over positive bodies enumerate nothing.  A body is positive
+(formula.positive) when it is built from literals, top, bot, &, |, K a
+and [G, top].  In M|S write W_a(s) for the element of saturated(S)[a]
+containing s, and X_G(s) for the meet of W_a(s) over a in G (S for the
+empty group).  The cells of G are the distinct X_G(s); they partition S.
+
+Lemma (preservation).  For positive f, Y within Z and s in Y:
+s in truth(Z, f) implies s in truth(Y, f).  By induction on f.
+Literals, top and bot keep their value at s, and & and | follow from
+their parts.  For K a g: a restriction only removes K-successors, so a's
+block of s in M|Y is the part inside Y of its block in M|Z, and each of
+its states satisfies g in M|Z, hence in M|Y.  For [G, top] g: by the
+clause for [G,chi] below, which rests on the lemma for g alone,
+truth(Z, [G, top] g) = truth(Z, g), and g is smaller.
+
+Fact.  Every extension c of G with s in c contains X_G(s), and X_G(s) is
+itself an extension.  c is the meet over a in G of unions U_a of a's
+widened blocks; s is in U_a and one agent's widened blocks are disjoint,
+so W_a(s) lies in U_a.  Taking U_a = W_a(s) gives X_G(s).  For t in
+X_G(s), W_a(t) = W_a(s) for every a, so X_G(t) = X_G(s): each cell is
+X_G of each of its states.
+
+The clauses, for positive f, at s in S (the other agents are G'):
+- [G,chi] f: s in chi and s in truth(c & chi, f) for every extension c
+  containing s.  Silence, c = S, asks s in truth(chi, f), and by the
+  lemma that gives every smaller scope.  So truth(chi, f), empty when
+  chi is.
+- <G,chi> f: s outside chi, or s in truth(c & chi, f) for some c
+  containing s.  X_G(s) & chi lies in each such c & chi, so by the
+  lemma X_G(s) serves whenever any c does: (S - chi) together with the
+  union over cells C of G of truth(C & chi, f).
+- <[G]> f: some c containing s with s in truth(c & d, f) for every
+  response d containing s.  d = S asks s in truth(c, f), which gives
+  every d by the lemma; and X_G(s) serves whenever any c does.  So the
+  union over cells C of G of truth(C, f): silence is the only response
+  needed.
+- [<G>] f: for every c containing s some response d with s in
+  truth(c & d, f).  c = S asks some d with s in truth(d, f), which
+  serves every c by the lemma; X_G'(s) serves whenever any d does.  So
+  the union over cells C of G' of truth(C, f): silence is the only
+  option needed.
+_Root.clause stays the one implementation of the four clauses; for a
+positive body, _quantified hands it the cells where the clause asks for
+some announcement and silence alone where it asks for every one.  That
+needs one truth set per cell instead of one per pair of option and
+response, and no cap.  evaluate_witness still weighs every extension of
+its top-level operator, so its trace and witness do not change; the
+quantifiers below it take the collapse through truth().
+
+Only [G, top] extends the fragment.  On random_model(533214, 5, 3, 2),
+whose five states are pairwise non-bisimilar, <[{a0}]> (K a2 p0 | ~p1),
+<{a0}, top> (K a2 p0 | ~p1) and [<{a1,a2}>] (K a2 p0 | ~p1) hold at s2
+and fail there after restriction to {s0,s1,s2,s4}: the coalition
+operators and <G,chi> over positive bodies are not preserved.
 """
 
 from __future__ import annotations
@@ -56,6 +111,7 @@ from .formula import (
     Top,
     agents_in,
     atoms_in,
+    positive,
 )
 from .model import (
     DEFAULT_ENUMERATION_CAP,
@@ -143,6 +199,7 @@ class _Root:
     def __init__(self, model: EpistemicModel, cap: int):
         self.model = model
         self.cap = cap
+        self.agents = frozenset(model.agents)
         self._truth: dict[tuple[StateSet, Formula], StateSet] = {}
         self._saturated: dict[StateSet, dict[str, tuple[StateSet, ...]]] = {}
         self._extensions: dict[tuple[StateSet, frozenset[str]], list[StateSet]] = {}
@@ -220,13 +277,9 @@ class _Root:
         hit = self._extensions.get(key)
         if hit is not None:
             return hit
-        members = [a for a in self.model.agents if a in group]
-        if len(members) != len(group):
-            unknown = sorted(group - set(self.model.agents))[0]
-            raise UndeclaredSymbol(f"unknown agent {unknown!r}")
         saturated = self.saturated(domain)
         found = [domain]
-        for agent in members:
+        for agent in [a for a in self.model.agents if a in group]:
             n_unions = (1 << len(saturated[agent])) - 1
             if n_unions > self.cap:
                 raise EnumerationCapExceeded(n_unions, self.cap)
@@ -240,6 +293,14 @@ class _Root:
             found = list(seen)
         self._extensions[key] = found
         return found
+
+    def cells(self, domain: StateSet, group: frozenset[str]) -> list[StateSet]:
+        """The cells of `group` in M|domain: the distinct X_G(s), each the
+        smallest extension containing its states.  They partition domain."""
+        cells = [domain]
+        for agent in [a for a in self.model.agents if a in group]:
+            cells = [part for c in cells for w in self.saturated(domain)[agent] if (part := c & w)]
+        return cells
 
     def decomposition(
         self, domain: StateSet, group: frozenset[str], extension: StateSet
@@ -266,7 +327,7 @@ class _Root:
         return (domain, True) if isinstance(f, Coal) else (0, False)
 
     def clause(
-        self, domain: StateSet, f: Formula, focus: StateSet
+        self, domain: StateSet, f: Formula, focus: StateSet, collapse: bool = False
     ) -> Iterator[tuple[StateSet, StateSet, StateSet]]:
         """The clause of the quantified f in M|domain, one announcement at
         a time: for each extension c of f's group whose scope meets
@@ -276,8 +337,20 @@ class _Root:
         coalition ones.  good is the part of scope & focus where f.sub
         survives: in M|scope for [G,chi] and <G,chi>, after some response
         of the other agents for [<G>], after every response for <[G]>.
-        Nothing is enumerated when chi misses the focus.
+        Nothing is enumerated when chi misses the focus.  With `collapse`,
+        allowed when f.sub is positive, a choice made for all announcements
+        weighs silence alone and one made for some announcement weighs the
+        cells (see the module docstring).
         """
+        unknown = f.group - self.agents
+        if unknown:
+            raise UndeclaredSymbol(f"unknown agent {sorted(unknown)[0]!r}")
+
+        def ranged(group: frozenset[str], some: bool) -> list[StateSet]:
+            if not collapse:
+                return self.extensions(domain, group)
+            return self.cells(domain, group) if some else [domain]
+
         if isinstance(f, (RelGroup, RelGroupDual)):
             chi = self.truth(domain, f.cond)
             if not chi & focus:
@@ -285,8 +358,8 @@ class _Root:
             responses = None
         else:
             chi = domain
-            responses = self.extensions(domain, frozenset(self.model.agents) - f.group)
-        for c in self.extensions(domain, f.group):
+            responses = ranged(self.agents - f.group, isinstance(f, Coal))
+        for c in ranged(f.group, isinstance(f, (RelGroupDual, CoalDual))):
             scope = c & chi
             here = scope & focus
             if not here:
@@ -314,7 +387,7 @@ class _Root:
     def _quantified(self, domain: StateSet, f: Formula) -> StateSet:
         res, box = self.base(domain, f)
         done = 0 if box else domain
-        for _, scope, good in self.clause(domain, f, domain):
+        for _, scope, good in self.clause(domain, f, domain, positive(f.sub)):
             res = res & (~scope | good) if box else res | good
             if res == done:
                 break

@@ -7,8 +7,10 @@ expands them into the core (Atom/Top/Bot/Not/And/Know/Ann/RelGroup/Coal),
 and the size and depth measures plus the well-founded order driving the
 harness are those of the desugared formula.  They are computed on the
 formula itself, without building the desugared tree, and kept on each
-node, as its hash is.  Leaves are interned: Atom(name) returns one object
-per name, and Top() and Bot() return TOP and BOT.
+node, as its hash is; so is membership in the positive fragment
+(positive()), over which the checker's quantifiers enumerate nothing.
+Leaves are interned: Atom(name) returns one object per name, and Top()
+and Bot() return TOP and BOT.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ class Formula:
     # Memos filled on first use, not dataclass fields.
     _hash = None
     _measure = None
+    _positive = None
 
     def __hash__(self) -> int:
         value = self._hash
@@ -276,6 +279,34 @@ def stratum(f: Formula) -> Stratum:
         elif isinstance(g, (Ann, AnnDual)) and level < Stratum.PAL:
             level = Stratum.PAL
     return level
+
+
+def positive(f: Formula) -> bool:
+    """Is f positive: built from literals, top, bot, &, |, K a and
+    [G, top]?  A positive formula true at a state stays true there in
+    every restriction that keeps the state (see checker).  Kept on each
+    node, and computed without recursion."""
+    stack = [f]
+    while f._positive is None:
+        g = stack[-1]
+        t = type(g)
+        if t is And or t is Or:
+            parts: tuple[Formula, ...] = (g.left, g.right)
+        elif t is Know or (t is RelGroup and g.cond is TOP):
+            parts = (g.sub,)
+        else:
+            parts = ()
+        pending = [h for h in parts if h._positive is None]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        if parts:
+            value = all(h._positive for h in parts)
+        else:
+            value = t is Atom or t is Top or t is Bot or (t is Not and type(g.sub) is Atom)
+        object.__setattr__(g, "_positive", value)
+    return f._positive
 
 
 def desugar(f: Formula) -> Formula:

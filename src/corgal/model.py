@@ -5,7 +5,8 @@ States are indexed and state sets are bitmasks (bit i = state i), which
 keeps announcement updates and the choice-set enumeration cheap.
 Bisimulation classes are computed in one place, refinement(): partition
 refinement on masks over any restriction M|S, which gives the classes of
-every round and each agent's blocks widened to the final classes.  The
+every round and each agent's blocks widened to the final classes; that
+of the whole model is computed once and kept on the model.  The
 checker's quantifiers, contract(), characteristic_formulas() and
 characteristic_size() all use it; the last two share one recurrence over
 the final classes, so neither needs a contracted model.  A choice set is
@@ -72,6 +73,9 @@ class EpistemicModel:
     agent's indistinguishability relation an equivalence relation by
     construction.
     """
+
+    # refinement(model, model.full), filled on first use
+    _refined = None
 
     def __init__(
         self,
@@ -200,8 +204,20 @@ def refinement(
     their lowest state.  Round 0 splits domain by the valuation; a round
     splits states whose blocks meet different classes of the round
     before, for all agents at once, so the number of rounds is the depth
-    the characteristic formulas need.
+    the characteristic formulas need.  The refinement of the whole model
+    is computed once and kept on the model, which is immutable; callers
+    must not change what they get.
     """
+    if domain != model.full:
+        return _refine(model, domain)
+    if model._refined is None:
+        model._refined = _refine(model, domain)
+    return model._refined
+
+
+def _refine(
+    model: EpistemicModel, domain: StateSet
+) -> tuple[list[list[StateSet]], dict[str, tuple[StateSet, ...]]]:
     blocks = [[b & domain for b in model.blocks(a) if b & domain] for a in model.agents]
     classes = [domain]
     for atom in model.atoms:

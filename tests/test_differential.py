@@ -24,6 +24,7 @@ from corgal import (
     Coal,
     CoalDual,
     EpistemicModel,
+    Evaluator,
     Iff,
     Imp,
     Know,
@@ -34,6 +35,8 @@ from corgal import (
     RelGroupDual,
     Stratum,
     Top,
+    UndeclaredSymbol,
+    contract,
     counterexample_model,
     el_definable_know_sets,
     enumerate_small_models,
@@ -41,6 +44,8 @@ from corgal import (
     evaluate_witness,
     gen_formula,
     parse_formula,
+    parse_model,
+    positive,
     random_model,
     train_model,
     truth_set,
@@ -276,3 +281,83 @@ def test_random_three_agent_models():
         model = random_model(seed, 5, 3, 2)
         for f in _formulas(model.atoms, model.agents, 10):
             agree(model, f)
+
+
+def positive_cases() -> list:
+    """The four quantified operators over positive bodies, for no agent,
+    one agent and every agent, with condition top and a non-positive one."""
+    bodies = ["K a0 p0 | K a1 ~p0", "p0 & [{a1}, top] K a1 (K a0 p0 | ~p0)"]
+    cases = []
+    for body in bodies:
+        for group in ["", "a0", "a0,a1"]:
+            cases += [f"<[{{{group}}}]> ({body})", f"[<{{{group}}}>] ({body})"]
+            for chi in ["top", "~K a0 p0"]:
+                cases += [f"[{{{group}}}, {chi}] ({body})", f"<{{{group}}}, {chi}> ({body})"]
+    return [parse_formula(text) for text in cases]
+
+
+def test_positive_bodies_collapse():
+    # a quantifier over a positive body weighs one announcement per point:
+    # it enumerates nothing, so not even a cap of 1 stops it, and it still
+    # agrees with the reference; under an outer quantifier whose body is
+    # not positive the inner one collapses in every restriction weighed
+    flat = positive_cases()
+    assert all(positive(f.sub) for f in flat)
+    nested = [parse_formula(f"<[{{a1}}]> ~({f})") for f in flat[::3]]
+    nested += [parse_formula(f"[{{a0}}, ~K a1 p0] (({f}) -> K a0 p0)") for f in flat[1::3]]
+    nested += [parse_formula(f"[<{{a0}}>] ~({f})") for f in flat[2::3]]
+    for model in [*enumerate_small_models(3, 2, 1), *doubled_models()]:
+        for f in flat:
+            assert truth_set(model, f, cap=1) == reference(model, f), (model, str(f))
+        for f in nested:
+            assert truth_set(model, f) == reference(model, f), (model, str(f))
+
+
+# random_model(533214, 5, 3, 2): five pairwise non-bisimilar states
+EXTENDED_FRAGMENT_COUNTERMODEL = """{
+  "agents": ["a0", "a1", "a2"],
+  "atoms": ["p0", "p1"],
+  "states": ["s0", "s1", "s2", "s3", "s4"],
+  "valuation": {"s0": [], "s1": [], "s2": ["p0", "p1"], "s3": ["p0"], "s4": ["p0", "p1"]},
+  "partitions": {
+    "a0": [["s0", "s3", "s4"], ["s1", "s2"]],
+    "a1": [["s0", "s1", "s2", "s4"], ["s3"]],
+    "a2": [["s0", "s2", "s3"], ["s1", "s4"]]
+  }
+}"""
+
+
+def test_coalitions_over_positive_bodies_are_not_positive():
+    # restriction to {s0,s1,s2,s4} keeps s2 but loses the three
+    # diamond-like forms there, so they are not preserved under
+    # restriction and may not count as positive themselves
+    model = parse_model(EXTENDED_FRAGMENT_COUNTERMODEL)
+    assert len(contract(model)[0].states) == 5
+    restricted = update(model, model.state_mask(["s0", "s1", "s2", "s4"]))
+    s2 = model.state_mask(["s2"])
+    body = "(K a2 p0 | ~p1)"
+    for text in [f"<[{{a0}}]> {body}", f"<{{a0}}, top> {body}", f"[<{{a1,a2}}>] {body}"]:
+        f = parse_formula(text)
+        assert not positive(f)
+        assert reference(model, f) & s2
+        assert not reference(restricted, f) & restricted.state_mask(["s2"])
+        agree(model, f)
+        agree(restricted, f)
+    # [G, top] over a positive body is its body, in every restriction
+    f = parse_formula(f"[{{a0}}, top] {body}")
+    assert positive(f)
+    for m in (model, restricted):
+        assert reference(m, f) == reference(m, f.sub) == truth_set(m, f)
+
+
+@pytest.mark.parametrize("text", [
+    "<[{zz}]> K a0 p0", "[<{zz}>] K a0 p0", "[{zz}, top] K a0 p0",
+    "<{zz}, top> K a0 p0", "[{zz}, bot] p0", "<{zz}, bot> p0",
+    "[{a0}, top] <[{a1,zz}]> p0",
+])
+def test_unknown_group_agent_under_a_positive_body(text):
+    # Evaluator.truth_set runs without check_symbols, and the collapse
+    # weighs no extension of the group, yet the agent is still unknown
+    model = random_model(1, 4, 2, 1)
+    with pytest.raises(UndeclaredSymbol, match="unknown agent 'zz'"):
+        Evaluator().truth_set(model, parse_formula(text))

@@ -42,6 +42,7 @@ from corgal import (
     nf_instantiate,
     order_lt,
     parse_formula,
+    positive,
     size,
     stratum,
 )
@@ -75,6 +76,39 @@ class TestStratum:
     def test_nesting_takes_the_maximum(self):
         assert stratum(Know("a", Coal({"b"}, p))) is Stratum.CORGAL
         assert stratum(Ann(RelGroup({"a"}, p, q), r)) is Stratum.RGAL
+
+
+class TestPositive:
+    @pytest.mark.parametrize("text", [
+        "p", "~p", "top", "bot", "K a (p | ~q) & K b K a r",
+        "[{a}, top] (K b p | q)", "[{a,b}, top] [{}, top] K a p",
+    ])
+    def test_inside(self, text):
+        assert positive(parse_formula(text))
+
+    @pytest.mark.parametrize("text", [
+        "~K a p", "~~p", "~top", "p -> q", "p <-> q", "[! p] q", "<! p> q",
+        "K a ~K b p", "[{a}, p] K b p", "<{a}, top> p", "<[{a}]> p", "[<{a}>] p",
+        "[{a}, top] ~K b p",
+    ])
+    def test_outside(self, text):
+        assert not positive(parse_formula(text))
+
+    def test_knowledge_dual_is_outside(self):
+        assert not positive(KnowDual("a", p))
+
+    def test_kept_on_every_node(self):
+        f = parse_formula("K a p & (q | ~K b r)")
+        assert not positive(f)
+        assert f._positive is False
+        assert f.left._positive is True and f.right._positive is False
+
+    def test_long_chain_needs_no_recursion(self):
+        f = p
+        for _ in range(5000):
+            f = And(Know("a", f), q)
+        assert positive(f)
+        assert not positive(Or(Not(f), p))
 
 
 class TestDesugar:
