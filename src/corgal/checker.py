@@ -103,7 +103,6 @@ from .formula import (
     Iff,
     Imp,
     Know,
-    KnowDual,
     Not,
     Or,
     RelGroup,
@@ -239,14 +238,6 @@ class _Root:
             for block in model.blocks(f.agent):
                 block &= domain
                 if block & ~t == 0:
-                    mask |= block
-            return mask
-        if isinstance(f, KnowDual):
-            t = self.truth(domain, f.sub)
-            mask = 0
-            for block in model.blocks(f.agent):
-                block &= domain
-                if block & t:
                     mask |= block
             return mask
         if isinstance(f, Ann):

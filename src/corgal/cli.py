@@ -92,27 +92,21 @@ def _load_model(path: str):
         return parse_model_document(handle.read())
 
 
-def _check_cap(args: argparse.Namespace) -> None:
+def _query(args: argparse.Namespace):
+    """The model, state and formula that check and witness evaluate."""
     if args.cap < 1:
         raise ValueError(f"--cap must be at least 1, got {args.cap}")
-
-
-def _pick_state(args: argparse.Namespace, document) -> str:
-    if args.state is not None:
-        return args.state
-    if document.designated is not None:
-        return document.designated
-    raise ModelError("no state given and the document has no designated state")
+    document = _load_model(args.model)
+    state = args.state if args.state is not None else document.designated
+    if state is None:
+        raise ModelError("no state given and the document has no designated state")
+    if state not in document.model.states:
+        raise ModelError(f"unknown state {state!r}")
+    return document.model, state, parse_formula(_formula_text(args))
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    _check_cap(args)
-    document = _load_model(args.model)
-    model = document.to_model()
-    state = _pick_state(args, document)
-    if state not in model.states:
-        raise ModelError(f"unknown state {state!r}")
-    formula = parse_formula(_formula_text(args))
+    model, state, formula = _query(args)
     if args.trace and isinstance(formula, (RelGroup, RelGroupDual, Coal, CoalDual)):
         report = evaluate_witness(model, state, formula, cap=args.cap)
         print("true" if report.verdict else "false")
@@ -127,13 +121,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    _check_cap(args)
-    document = _load_model(args.model)
-    model = document.to_model()
-    state = _pick_state(args, document)
-    if state not in model.states:
-        raise ModelError(f"unknown state {state!r}")
-    formula = parse_formula(_formula_text(args))
+    model, state, formula = _query(args)
     report = evaluate_witness(model, state, formula, cap=args.cap)
     if report.recheck is not None:
         rechecked = evaluate(model, state, report.recheck, cap=args.cap)
@@ -149,7 +137,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_contract(args: argparse.Namespace) -> int:
     document = _load_model(args.model)
-    model = document.to_model()
+    model = document.model
     quotient, mapping = contract(model)
     designated = mapping.get(document.designated) if document.designated else None
     text = render_model(quotient, designated=designated)
@@ -199,13 +187,9 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ParseError, ModelError, UndeclaredSymbol, NotQuantified, StratumError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (
+        ParseError, ModelError, UndeclaredSymbol, NotQuantified, StratumError, OSError, ValueError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except EnumerationCapExceeded as exc:

@@ -2,15 +2,17 @@
 
 Formulas are immutable trees over knowledge, public announcement,
 relativised group announcement and coalition announcement operators.
-The diamond duals and the Or/Imp/Iff connectives are sugar; desugar()
-expands them into the core (Atom/Top/Bot/Not/And/Know/Ann/RelGroup/Coal),
-and the size and depth measures plus the well-founded order driving the
-harness are those of the desugared formula.  They are computed on the
-formula itself, without building the desugared tree, and kept on each
-node, as its hash is; so is membership in the positive fragment
-(positive()), over which the checker's quantifiers enumerate nothing.
-Leaves are interned: Atom(name) returns one object per name, and Top()
-and Bot() return TOP and BOT.
+The three announcement diamonds and the Or/Imp/Iff connectives are
+sugar; desugar() expands them into the core
+(Atom/Top/Bot/Not/And/Know/Ann/RelGroup/Coal).  The knowledge diamond has
+no node of its own: it is written ~K a ~phi.  The size and depth
+measures plus the well-founded order driving the harness are those of
+the desugared formula.  They are computed on the formula itself, without
+building the desugared tree, and kept on each node, as its hash is; so
+is membership in the positive fragment (positive()), over which the
+checker's quantifiers enumerate nothing.  Leaves are interned:
+Atom(name) returns one object per name, and Top() and Bot() return TOP
+and BOT.
 """
 
 from __future__ import annotations
@@ -156,14 +158,6 @@ class Know(Formula):
 
 
 @dataclass(frozen=True, eq=False)
-class KnowDual(Formula):
-    """Possibility dual of Know; no concrete syntax of its own."""
-
-    agent: str
-    sub: Formula
-
-
-@dataclass(frozen=True, eq=False)
 class Ann(Formula):
     """Public announcement box: after truthfully announcing `ann`, `sub`."""
 
@@ -244,7 +238,7 @@ def _equal(f: Formula, g: Formula) -> bool:
 def _children(f: Formula) -> tuple[Formula, ...]:
     if isinstance(f, (Atom, Top, Bot)):
         return ()
-    if isinstance(f, (Not, Know, KnowDual, Coal, CoalDual)):
+    if isinstance(f, (Not, Know, Coal, CoalDual)):
         return (f.sub,)
     if isinstance(f, (And, Or, Imp, Iff)):
         return (f.left, f.right)
@@ -329,8 +323,6 @@ def desugar(f: Formula) -> Formula:
         return And(Not(And(a, Not(b))), Not(And(b, Not(a))))
     if isinstance(f, Know):
         return Know(f.agent, desugar(f.sub))
-    if isinstance(f, KnowDual):
-        return Not(Know(f.agent, Not(desugar(f.sub))))
     if isinstance(f, Ann):
         return Ann(desugar(f.ann), desugar(f.sub))
     if isinstance(f, AnnDual):
@@ -355,9 +347,9 @@ def _measure(f: Formula) -> tuple[int, int, int]:
     t = type(f)
     if t is Atom or t is Top or t is Bot:
         m = (0, 0, 1)
-    elif t is Not or t is Know or t is KnowDual:
+    elif t is Not or t is Know:
         c, b, s = _measure(f.sub)
-        m = (c, b, s + (3 if t is KnowDual else 1))
+        m = (c, b, s + 1)
     elif t is And or t is Or or t is Imp or t is Iff:
         c1, b1, s1 = _measure(f.left)
         c2, b2, s2 = _measure(f.right)
@@ -436,12 +428,6 @@ class GroupKnowledgeFormula:
     @property
     def group(self) -> frozenset[str]:
         return frozenset(a for a, _ in self.bindings)
-
-    def body(self, agent: str) -> Formula:
-        for a, f in self.bindings:
-            if a == agent:
-                return f
-        raise KeyError(agent)
 
     def denotation(self) -> Formula:
         if not self.bindings:
@@ -523,7 +509,7 @@ def _collect(f: Formula, agents: set[str], atoms: set[str]) -> None:
     for g in _subformulas(f):
         if isinstance(g, Atom):
             atoms.add(g.name)
-        elif isinstance(g, (Know, KnowDual)):
+        elif isinstance(g, Know):
             agents.add(g.agent)
         elif isinstance(g, (RelGroup, RelGroupDual, Coal, CoalDual)):
             agents.update(g.group)

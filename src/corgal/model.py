@@ -71,7 +71,10 @@ class EpistemicModel:
 
     Immutable after construction; the partition representation makes each
     agent's indistinguishability relation an equivalence relation by
-    construction.
+    construction.  The constructor is the one check of that structure:
+    it raises ValueError for a duplicate name, no states, a partition
+    missing or for an undeclared agent, and an empty, overlapping or
+    non-covering block or one naming an undeclared state.
     """
 
     # refinement(model, model.full), filled on first use
@@ -88,34 +91,47 @@ class EpistemicModel:
         self.states = tuple(states)
         self.agents = tuple(agents)
         self.atoms = tuple(atoms)
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("duplicate state")
-        if len(set(self.agents)) != len(self.agents):
-            raise ValueError("duplicate agent")
-        if len(set(self.atoms)) != len(self.atoms):
-            raise ValueError("duplicate atom")
+        for kind, names in (("agent", self.agents), ("atom", self.atoms), ("state", self.states)):
+            if len(set(names)) != len(names):
+                twice = next(name for i, name in enumerate(names) if name in names[:i])
+                raise ValueError(f"duplicate {kind} {twice!r}")
         if not self.states:
             raise ValueError("model has no states")
         self.n = len(self.states)
         self.full: StateSet = (1 << self.n) - 1
         self._index = {name: i for i, name in enumerate(self.states)}
 
-        if set(partitions) != set(self.agents):
-            raise ValueError("partitions must be given for exactly the declared agents")
+        missing = sorted(set(self.agents) - set(partitions))
+        if missing:
+            raise ValueError(f"partition missing for agent {missing[0]!r}")
+        extra = sorted(set(partitions) - set(self.agents))
+        if extra:
+            raise ValueError(f"partition for undeclared agent {extra[0]!r}")
         self._blocks: dict[str, tuple[StateSet, ...]] = {}
         self._block_of: dict[str, tuple[StateSet, ...]] = {}
         for agent in self.agents:
-            blocks = tuple(self.state_mask(block) for block in partitions[agent])
+            blocks = []
             covered = 0
-            for b in blocks:
+            for block in partitions[agent]:
+                b = 0
+                for name in block:
+                    try:
+                        bit = 1 << self._index[name]
+                    except (KeyError, TypeError):
+                        raise ValueError(
+                            f"agent {agent!r}: unknown state {name!r} in partition"
+                        ) from None
+                    if covered & bit:
+                        raise ValueError(f"agent {agent!r}: partition blocks overlap at {name!r}")
+                    covered |= bit
+                    b |= bit
                 if b == 0:
                     raise ValueError(f"agent {agent!r}: empty partition block")
-                if covered & b:
-                    raise ValueError(f"agent {agent!r}: partition blocks overlap")
-                covered |= b
+                blocks.append(b)
             if covered != self.full:
-                raise ValueError(f"agent {agent!r}: partition does not cover the states")
-            self._blocks[agent] = blocks
+                uncovered = min(self.states_in(self.full & ~covered))
+                raise ValueError(f"agent {agent!r}: partition does not cover state {uncovered!r}")
+            self._blocks[agent] = tuple(blocks)
             per_state = [0] * self.n
             for b in blocks:
                 for i in _bits(b):

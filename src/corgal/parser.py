@@ -1,9 +1,16 @@
 """Concrete syntax: formula text and the JSON model document format.
 
-The four bracketed operators are told apart by the token after the
+The six bracketed operators are told apart by the token after the
 opening bracket: `[!` announcement, `[{` group, `[<` coalition box, and
-dually `<!`, `<{`, `<[`.  Rendering is canonical (binary connectives are
-parenthesised except at the root) so that parse(render(f)) == f.
+dually `<!`, `<{`, `<[`.  One table, _BRACKETS, maps each pair to its
+operator; the parser and the renderer both read it.  Rendering is
+canonical (binary connectives are parenthesised except at the root) so
+that parse(render(f)) == f.
+
+A model document is checked here only for what a model cannot check
+itself: its JSON shape, name syntax and reserved words, the valuation's
+states and atoms, and the designated state.  EpistemicModel checks the
+structure (duplicate names, states, partitions) and is built once.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from .formula import (
     Imp,
     And,
     Know,
-    KnowDual,
     Not,
     Or,
     RelGroup,
@@ -44,6 +50,21 @@ RESERVED = frozenset({"top", "bot"})
 MAX_NESTING = 100
 
 _SYMBOLS = ("<->", "->", "[", "]", "<", ">", "{", "}", "(", ")", ",", "~", "&", "|", "!")
+
+_CLOSE = {"[": "]", "<": ">"}
+
+# (opening bracket, next token) -> operator; the parser and the renderer
+# both read this table
+_BRACKETS = {
+    ("[", "!"): Ann,
+    ("[", "{"): RelGroup,
+    ("[", "<"): Coal,
+    ("<", "!"): AnnDual,
+    ("<", "{"): RelGroupDual,
+    ("<", "["): CoalDual,
+}
+_SYNTAX = {op: key for key, op in _BRACKETS.items()}
+_BINARY = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
 
 
 class ParseError(Exception):
@@ -216,10 +237,8 @@ class _Parser:
             self._advance()
             agent = self._agent()
             return Know(agent, self._unary())
-        if tok.text == "[":
-            return self._bracket_box()
-        if tok.text == "<":
-            return self._bracket_diamond()
+        if tok.text in _CLOSE:
+            return self._bracket()
         if tok.text == "(":
             self._advance()
             f = self._iff()
@@ -230,61 +249,35 @@ class _Parser:
             expected=("'~'", "'K'", "'['", "'<'", "'('", "an atom"),
         )
 
-    def _bracket_box(self) -> Formula:
-        open_tok = self._expect("[")
+    def _bracket(self) -> Formula:
+        opening = self._advance().text
+        close = _CLOSE[opening]
         nxt = self._peek()
-        if nxt is not None and nxt.text == "!":
+        op = _BRACKETS.get((opening, nxt.text if nxt is not None else None))
+        if op is None:
+            line, col = (nxt.line, nxt.column) if nxt is not None else self._here()
+            raise ParseError(
+                f"unknown operator after {opening!r}", line, col,
+                expected=tuple(repr(token) for o, token in _BRACKETS if o == opening),
+            )
+        if nxt.text == "!":
             self._advance()
             ann = self._iff()
-            self._expect("]")
-            return Ann(ann, self._unary())
-        if nxt is not None and nxt.text == "{":
+            self._expect(close)
+            return op(ann, self._unary())
+        if nxt.text == "{":
             group = self._group()
             cond: Formula = TOP
             if self._at(","):
                 self._advance()
                 cond = self._iff()
-            self._expect("]")
-            return RelGroup(group, cond, self._unary())
-        if nxt is not None and nxt.text == "<":
-            self._advance()
-            group = self._group()
-            self._expect(">")
-            self._expect("]")
-            return Coal(group, self._unary())
-        line, col = (nxt.line, nxt.column) if nxt is not None else self._here()
-        raise ParseError(
-            "unknown operator after '['", line, col,
-            expected=("'!'", "'{'", "'<'"),
-        )
-
-    def _bracket_diamond(self) -> Formula:
-        self._expect("<")
-        nxt = self._peek()
-        if nxt is not None and nxt.text == "!":
-            self._advance()
-            ann = self._iff()
-            self._expect(">")
-            return AnnDual(ann, self._unary())
-        if nxt is not None and nxt.text == "{":
-            group = self._group()
-            cond: Formula = TOP
-            if self._at(","):
-                self._advance()
-                cond = self._iff()
-            self._expect(">")
-            return RelGroupDual(group, cond, self._unary())
-        if nxt is not None and nxt.text == "[":
-            self._advance()
-            group = self._group()
-            self._expect("]")
-            self._expect(">")
-            return CoalDual(group, self._unary())
-        line, col = (nxt.line, nxt.column) if nxt is not None else self._here()
-        raise ParseError(
-            "unknown operator after '<'", line, col,
-            expected=("'!'", "'{'", "'['"),
-        )
+            self._expect(close)
+            return op(group, cond, self._unary())
+        self._advance()
+        group = self._group()
+        self._expect(_CLOSE[nxt.text])
+        self._expect(close)
+        return op(group, self._unary())
 
     def _group(self) -> frozenset[str]:
         self._expect("{")
@@ -316,44 +309,31 @@ def render_formula(f: Formula) -> str:
 
 
 def _render(f: Formula, root: bool = False) -> str:
-    if isinstance(f, Atom):
+    t = type(f)
+    if t is Atom:
         return f.name
-    if isinstance(f, Top):
+    if t is Top:
         return "top"
-    if isinstance(f, Bot):
+    if t is Bot:
         return "bot"
-    if isinstance(f, Not):
+    if t is Not:
         return "~" + _render(f.sub)
-    if isinstance(f, And):
-        body = f"{_render(f.left)} & {_render(f.right)}"
+    op = _BINARY.get(t)
+    if op is not None:
+        body = f"{_render(f.left)} {op} {_render(f.right)}"
         return body if root else f"({body})"
-    if isinstance(f, Or):
-        body = f"{_render(f.left)} | {_render(f.right)}"
-        return body if root else f"({body})"
-    if isinstance(f, Imp):
-        body = f"{_render(f.left)} -> {_render(f.right)}"
-        return body if root else f"({body})"
-    if isinstance(f, Iff):
-        body = f"{_render(f.left)} <-> {_render(f.right)}"
-        return body if root else f"({body})"
-    if isinstance(f, Know):
+    if t is Know:
         return f"K {f.agent} {_render(f.sub)}"
-    if isinstance(f, KnowDual):
-        # no concrete syntax of its own; print the defining expansion
-        return _render(Not(Know(f.agent, Not(f.sub))), root=root)
-    if isinstance(f, Ann):
-        return f"[! {_render(f.ann)}] {_render(f.sub)}"
-    if isinstance(f, AnnDual):
-        return f"<! {_render(f.ann)}> {_render(f.sub)}"
-    if isinstance(f, RelGroup):
-        return f"[{_render_group(f.group)}, {_render(f.cond)}] {_render(f.sub)}"
-    if isinstance(f, RelGroupDual):
-        return f"<{_render_group(f.group)}, {_render(f.cond)}> {_render(f.sub)}"
-    if isinstance(f, Coal):
-        return f"[<{_render_group(f.group)}>] {_render(f.sub)}"
-    if isinstance(f, CoalDual):
-        return f"<[{_render_group(f.group)}]> {_render(f.sub)}"
-    raise TypeError(f"not a formula: {f!r}")
+    if t not in _SYNTAX:
+        raise TypeError(f"not a formula: {f!r}")
+    opening, token = _SYNTAX[t]
+    if token == "!":
+        head = f"! {_render(f.ann)}"
+    elif token == "{":
+        head = f"{_render_group(f.group)}, {_render(f.cond)}"
+    else:
+        head = token + _render_group(f.group) + _CLOSE[token]
+    return f"{opening}{head}{_CLOSE[opening]} {_render(f.sub)}"
 
 
 def _render_group(group: frozenset[str]) -> str:
@@ -366,71 +346,25 @@ class ModelError(Exception):
 
 @dataclass
 class ModelDocument:
-    """Validated shape of a model file, designated state included."""
+    """A parsed model file: the model and its designated state, if any."""
 
-    agents: list[str]
-    atoms: list[str]
-    states: list[str]
-    valuation: dict[str, list[str]]
-    partitions: dict[str, list[list[str]]]
+    model: EpistemicModel
     designated: str | None = None
 
-    def validate(self) -> None:
-        for kind, names in (("agent", self.agents), ("atom", self.atoms), ("state", self.states)):
-            seen: set[str] = set()
-            for name in names:
-                if not isinstance(name, str) or not NAME_RE.fullmatch(name):
-                    raise ModelError(f"bad {kind} name {name!r}")
-                if kind in ("agent", "atom") and name in RESERVED:
-                    raise ModelError(f"reserved word used as {kind} name: {name!r}")
-                if name in seen:
-                    raise ModelError(f"duplicate {kind} {name!r}")
-                seen.add(name)
-        if not self.states:
-            raise ModelError("model has no states")
-        states = set(self.states)
-        for state in self.states:
-            if state not in self.valuation:
-                raise ModelError(f"valuation missing for state {state!r}")
-        for state, atoms in self.valuation.items():
-            if state not in states:
-                raise ModelError(f"valuation for unknown state {state!r}")
-            for atom in atoms:
-                if atom not in self.atoms:
-                    raise ModelError(f"undeclared atom {atom!r} in valuation of {state!r}")
-        if set(self.partitions) != set(self.agents):
-            missing = set(self.agents) - set(self.partitions)
-            extra = set(self.partitions) - set(self.agents)
-            if missing:
-                raise ModelError(f"partition missing for agent {sorted(missing)[0]!r}")
-            raise ModelError(f"partition for undeclared agent {sorted(extra)[0]!r}")
-        for agent in self.agents:
-            covered: set[str] = set()
-            for block in self.partitions[agent]:
-                if not block:
-                    raise ModelError(f"agent {agent!r}: empty partition block")
-                for state in block:
-                    if state not in states:
-                        raise ModelError(f"agent {agent!r}: unknown state {state!r} in partition")
-                    if state in covered:
-                        raise ModelError(f"agent {agent!r}: partition blocks overlap at {state!r}")
-                    covered.add(state)
-            if covered != states:
-                missing_state = sorted(states - covered)[0]
-                raise ModelError(
-                    f"agent {agent!r}: partition does not cover state {missing_state!r}"
-                )
-        if self.designated is not None and self.designated not in states:
-            raise ModelError(f"designated state {self.designated!r} is not declared")
 
-    def to_model(self) -> EpistemicModel:
-        return EpistemicModel(
-            states=self.states,
-            agents=self.agents,
-            atoms=self.atoms,
-            partitions=self.partitions,
-            valuation={atom: [s for s in self.states if atom in self.valuation[s]] for atom in self.atoms},
-        )
+def _check_names(agents, atoms, states) -> None:
+    """Name syntax and reserved words; a model checks its own structure."""
+    for kind, names in (("agent", agents), ("atom", atoms), ("state", states)):
+        for name in names:
+            if not isinstance(name, str) or not NAME_RE.fullmatch(name):
+                raise ModelError(f"bad {kind} name {name!r}")
+            if kind != "state" and name in RESERVED:
+                raise ModelError(f"reserved word used as {kind} name: {name!r}")
+
+
+def _check_designated(model: EpistemicModel, designated) -> None:
+    if designated is not None and designated not in model.states:
+        raise ModelError(f"designated state {designated!r} is not declared")
 
 
 def parse_model_document(text: str) -> ModelDocument:
@@ -450,8 +384,9 @@ def parse_model_document(text: str) -> ModelDocument:
     for key in ("agents", "atoms", "states"):
         if not isinstance(raw[key], list):
             raise ModelError(f"field {key!r} must be a list of names")
-    if not isinstance(raw["valuation"], dict) or not all(
-        isinstance(v, list) for v in raw["valuation"].values()
+    valuation = raw["valuation"]
+    if not isinstance(valuation, dict) or not all(
+        isinstance(v, list) for v in valuation.values()
     ):
         raise ModelError("field 'valuation' must map states to lists of atoms")
     if not isinstance(raw["partitions"], dict) or not all(
@@ -459,49 +394,49 @@ def parse_model_document(text: str) -> ModelDocument:
         for blocks in raw["partitions"].values()
     ):
         raise ModelError("field 'partitions' must map agents to lists of blocks")
-    doc = ModelDocument(
-        agents=list(raw["agents"]),
-        atoms=list(raw["atoms"]),
-        states=list(raw["states"]),
-        valuation={k: list(v) for k, v in raw["valuation"].items()},
-        partitions={k: [list(b) for b in blocks] for k, blocks in raw["partitions"].items()},
-        designated=raw.get("designated"),
-    )
-    doc.validate()
-    return doc
+    agents, atoms, states = raw["agents"], raw["atoms"], raw["states"]
+    _check_names(agents, atoms, states)
+    try:
+        model = EpistemicModel(
+            states, agents, atoms, raw["partitions"],
+            {atom: [s for s in states if atom in valuation.get(s, ())] for atom in atoms},
+        )
+    except ValueError as exc:
+        raise ModelError(str(exc)) from exc
+    for state in states:
+        if state not in valuation:
+            raise ModelError(f"valuation missing for state {state!r}")
+    declared = set(states)
+    for state, true_atoms in valuation.items():
+        if state not in declared:
+            raise ModelError(f"valuation for unknown state {state!r}")
+        for atom in true_atoms:
+            if atom not in model.atoms:
+                raise ModelError(f"undeclared atom {atom!r} in valuation of {state!r}")
+    designated = raw.get("designated")
+    _check_designated(model, designated)
+    return ModelDocument(model, designated)
 
 
 def parse_model(text: str) -> EpistemicModel:
-    return parse_model_document(text).to_model()
-
-
-def document_from_model(model: EpistemicModel, designated: str | None = None) -> ModelDocument:
-    doc = ModelDocument(
-        agents=list(model.agents),
-        atoms=list(model.atoms),
-        states=list(model.states),
-        valuation={
-            s: [p for p in model.atoms if model.valuation_mask(p) >> model.state_index(s) & 1]
-            for s in model.states
-        },
-        partitions={
-            a: [list(model.states_in(b)) for b in model.blocks(a)] for a in model.agents
-        },
-        designated=designated,
-    )
-    doc.validate()
-    return doc
+    return parse_model_document(text).model
 
 
 def render_model(model: EpistemicModel, designated: str | None = None) -> str:
-    doc = document_from_model(model, designated)
+    _check_names(model.agents, model.atoms, model.states)
+    _check_designated(model, designated)
     payload: dict = {
-        "agents": doc.agents,
-        "atoms": doc.atoms,
-        "states": doc.states,
-        "valuation": doc.valuation,
-        "partitions": doc.partitions,
+        "agents": list(model.agents),
+        "atoms": list(model.atoms),
+        "states": list(model.states),
+        "valuation": {
+            s: [p for p in model.atoms if model.valuation_mask(p) >> i & 1]
+            for i, s in enumerate(model.states)
+        },
+        "partitions": {
+            a: [list(model.states_in(b)) for b in model.blocks(a)] for a in model.agents
+        },
     }
-    if doc.designated is not None:
-        payload["designated"] = doc.designated
+    if designated is not None:
+        payload["designated"] = designated
     return json.dumps(payload, indent=2) + "\n"

@@ -76,6 +76,7 @@ _AXIOM_BINDINGS_PER_MODEL = 20
 _RULE_BINDINGS_PER_MODEL = 6
 _THEOREM_BINDINGS_PER_MODEL = 2
 _FORMULA_DEPTH = 3
+_N_AGENTS = _N_ATOMS = 3
 
 
 @dataclass
@@ -83,14 +84,12 @@ class SuiteConfig:
     seed: int = 0
     model_count: int = 500
     max_states: int = 5
-    n_agents: int = 3
-    n_atoms: int = 3
     enumeration_cap: int = 10**6
 
     def __post_init__(self) -> None:
         if self.model_count < 0:
             raise ValueError("model_count must not be negative")
-        for name in ("max_states", "n_agents", "n_atoms", "enumeration_cap"):
+        for name in ("max_states", "enumeration_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.max_states > HARD_MAX_STATES:
@@ -298,7 +297,6 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
     "A9": ("phi", "psi", "chi"),
     "A10": ("group", "chi", "phi", "psi_g"),
     "A11": ("group", "phi", "psi_g", "all_agents"),
-    "C0": ("phi", "psi", "chi"),
     "C1": ("group",),
     "C2": ("group",),
     "C3": ("phi", "all_agents"),
@@ -325,7 +323,7 @@ def axiom_instance(axiom_id: str, bindings: Mapping[str, object]) -> Formula:
     agent = bindings.get("agent")
     group = bindings.get("group")
 
-    if axiom_id in ("A0", "C0"):
+    if axiom_id == "A0":
         template = _TAUT_TEMPLATES[bindings.get("taut", 0) % len(_TAUT_TEMPLATES)]
         return template(phi, psi, chi)
     if axiom_id == "A1":
@@ -391,7 +389,7 @@ def _group_denotation(
 def _models(cfg: SuiteConfig, rng: random.Random) -> Iterator[EpistemicModel]:
     for _ in range(cfg.model_count):
         n = max(rng.randint(1, cfg.max_states), rng.randint(1, cfg.max_states))
-        yield random_model(rng.randrange(2**32), n, cfg.n_agents, cfg.n_atoms)
+        yield random_model(rng.randrange(2**32), n, _N_AGENTS, _N_ATOMS)
 
 
 def _random_bindings(
@@ -752,15 +750,15 @@ def run_translation_and_measure_suite(cfg: SuiteConfig) -> SuiteReport:
     rng = random.Random(cfg.seed)
     model: EpistemicModel | None = None
     ev = Evaluator(cap=cfg.enumeration_cap)
-    agents = tuple(f"a{i}" for i in range(cfg.n_agents))
-    atoms = tuple(f"p{i}" for i in range(cfg.n_atoms))
+    agents = tuple(f"a{i}" for i in range(_N_AGENTS))
+    atoms = tuple(f"p{i}" for i in range(_N_ATOMS))
     triples = 0
     measure_instances = 0
 
     for i in range(cfg.model_count):
         if model is None or i % 5 == 0:
             n = max(rng.randint(1, cfg.max_states), rng.randint(1, cfg.max_states))
-            model = random_model(rng.randrange(2**32), n, cfg.n_agents, cfg.n_atoms)
+            model = random_model(rng.randrange(2**32), n, _N_AGENTS, _N_ATOMS)
             ev = Evaluator(cap=cfg.enumeration_cap)
         f = _gen(rng, Stratum.PAL, rng.randint(1, _FORMULA_DEPTH), model.atoms, model.agents)
         translated = pal_to_el(f)

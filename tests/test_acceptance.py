@@ -38,7 +38,7 @@ from corgal.validity import _gen
 
 GOAL = "K b (p & q & r) & ~K a (p & q & r) & ~K c (p & q & r)"
 
-FULL = SuiteConfig(seed=0, model_count=500, max_states=5, n_agents=3, n_atoms=3)
+FULL = SuiteConfig(seed=0, model_count=500, max_states=5)
 
 
 def _report(name: str, detail: str) -> None:

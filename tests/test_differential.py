@@ -28,7 +28,6 @@ from corgal import (
     Iff,
     Imp,
     Know,
-    KnowDual,
     Not,
     Or,
     RelGroup,
@@ -88,11 +87,9 @@ def reference(model: EpistemicModel, f) -> int:
         return full & {
             And: a & b, Or: a | b, Imp: ~a | b, Iff: ~(a ^ b)
         }[type(f)]
-    if isinstance(f, (Know, KnowDual)):
+    if isinstance(f, Know):
         t = reference(model, f.sub)
-        if isinstance(f, Know):
-            return pointwise(model, lambda w: model.block_of(f.agent, w.bit_length() - 1) & ~t == 0)
-        return pointwise(model, lambda w: model.block_of(f.agent, w.bit_length() - 1) & t != 0)
+        return pointwise(model, lambda w: model.block_of(f.agent, w.bit_length() - 1) & ~t == 0)
     if isinstance(f, (Ann, AnnDual)):
         s = reference(model, f.ann)
         if s == 0:

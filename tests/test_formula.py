@@ -25,7 +25,6 @@ from corgal import (
     Iff,
     Imp,
     Know,
-    KnowDual,
     NfAnn,
     NfImp,
     NfKnow,
@@ -71,7 +70,6 @@ class TestStratum:
         assert stratum(AnnDual(p, q)) is Stratum.PAL
         assert stratum(RelGroupDual({"a"}, p, q)) is Stratum.RGAL
         assert stratum(CoalDual({"a"}, p)) is Stratum.CORGAL
-        assert stratum(KnowDual("a", p)) is Stratum.EL
 
     def test_nesting_takes_the_maximum(self):
         assert stratum(Know("a", Coal({"b"}, p))) is Stratum.CORGAL
@@ -93,9 +91,6 @@ class TestPositive:
     ])
     def test_outside(self, text):
         assert not positive(parse_formula(text))
-
-    def test_knowledge_dual_is_outside(self):
-        assert not positive(KnowDual("a", p))
 
     def test_kept_on_every_node(self):
         f = parse_formula("K a p & (q | ~K b r)")
@@ -124,9 +119,6 @@ class TestDesugar:
 
     def test_group_diamond(self):
         assert desugar(RelGroupDual({"a"}, p, q)) == Not(RelGroup({"a"}, p, Not(q)))
-
-    def test_knowledge_diamond(self):
-        assert desugar(KnowDual("a", p)) == Not(Know("a", Not(p)))
 
     def test_or_imp_iff(self):
         assert desugar(Or(p, q)) == Not(And(Not(p), Not(q)))
@@ -271,12 +263,12 @@ class TestMeasureAgainstDesugaredWalk:
             Imp(Coal({"a"}, p), q),
             Iff(Ann(p, q), RelGroup({"a"}, p, q)),
             Know("a", Coal({"b"}, p)),
-            KnowDual("a", RelGroup({"b"}, q, p)),
+            Not(Know("a", Not(RelGroup({"b"}, q, p)))),
             Ann(Coal({"a"}, p), RelGroup({"a"}, q, r)),
             AnnDual(RelGroup({"a"}, p, q), Coal({"b"}, Or(p, q))),
             RelGroup({"a"}, Coal({"b"}, p), Iff(p, q)),
             RelGroupDual({"a"}, RelGroup({"b"}, p, q), Coal({"a"}, r)),
-            Coal({"a"}, KnowDual("b", p)),
+            Coal({"a"}, Not(Know("b", Not(p)))),
             CoalDual({"a", "b"}, AnnDual(p, Imp(q, r))),
         ],
         ids=lambda f: str(f),

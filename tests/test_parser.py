@@ -4,16 +4,25 @@ import pytest
 from hypothesis import given
 
 from corgal import (
+    BOT,
+    TOP,
     And,
     Ann,
+    AnnDual,
     Atom,
     Coal,
     CoalDual,
+    EpistemicModel,
+    Formula,
+    Iff,
+    Imp,
     Know,
     ModelError,
     Not,
+    Or,
     ParseError,
     RelGroup,
+    RelGroupDual,
     Top,
     TRAIN_DOCUMENT,
     COUNTEREXAMPLE_DOCUMENT,
@@ -26,6 +35,7 @@ from corgal import (
     render_formula,
     render_model,
 )
+from corgal.cli import main
 from corgal.parser import MAX_NESTING
 
 from conftest import formulas
@@ -125,6 +135,60 @@ class TestRenderFormula:
         assert render_formula(Coal(frozenset(), p)) == "[<{}>] p"
 
 
+# every formula constructor and its canonical text
+SYNTAX = [
+    (p, "p"),
+    (TOP, "top"),
+    (BOT, "bot"),
+    (Not(And(p, q)), "~(p & q)"),
+    (And(p, Or(q, p)), "p & (q | p)"),
+    (Or(p, q), "p | q"),
+    (Imp(p, Imp(q, p)), "p -> (q -> p)"),
+    (Iff(p, q), "p <-> q"),
+    (Know("a", Not(p)), "K a ~p"),
+    (Ann(And(p, q), p), "[! (p & q)] p"),
+    (AnnDual(p, Know("b", q)), "<! p> K b q"),
+    (RelGroup({"b", "a"}, Or(p, q), q), "[{a,b}, (p | q)] q"),
+    (RelGroupDual(frozenset(), TOP, p), "<{}, top> p"),
+    (Coal({"a", "c"}, p), "[<{a,c}>] p"),
+    (CoalDual({"b"}, Iff(p, q)), "<[{b}]> (p <-> q)"),
+]
+
+
+class TestSyntaxTable:
+    def test_every_constructor_is_listed(self):
+        assert {type(f) for f, _ in SYNTAX} == set(Formula.__subclasses__())
+
+    @pytest.mark.parametrize("f, text", SYNTAX, ids=[text for _, text in SYNTAX])
+    def test_render_and_parse_back(self, f, text):
+        assert render_formula(f) == text
+        assert parse_formula(text) == f
+
+    @pytest.mark.parametrize("text, column, opening, expected", [
+        ("[, p] q", 2, "[", ("'!'", "'{'", "'<'")),
+        ("[[{a}]> p", 2, "[", ("'!'", "'{'", "'<'")),
+        ("p & [", 6, "[", ("'!'", "'{'", "'<'")),
+        ("<, p> q", 2, "<", ("'!'", "'{'", "'['")),
+        ("<<{a}>] p", 2, "<", ("'!'", "'{'", "'['")),
+        ("p & <", 6, "<", ("'!'", "'{'", "'['")),
+    ])
+    def test_unknown_operator(self, text, column, opening, expected):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert err.value.message == f"unknown operator after {opening!r}"
+        assert err.value.expected == expected
+        assert (err.value.line, err.value.column) == (1, column)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("[! p> q", "']'"), ("<! p] q", "'>'"), ("[{a}, p> q", "']'"), ("<{a}, p] q", "'>'"),
+        ("[<{a}]] p", "'>'"), ("<[{a}>> p", "']'"), ("[<{a}>> p", "']'"), ("<[{a}]] p", "'>'"),
+    ])
+    def test_mismatched_closing_bracket(self, text, expected):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert err.value.expected == (expected,)
+
+
 class TestModelDocuments:
     def test_train_document(self):
         m = parse_model(TRAIN_DOCUMENT)
@@ -204,3 +268,81 @@ class TestModelDocuments:
     def test_json_error_carries_position(self):
         with pytest.raises(ModelError, match="line"):
             parse_model("{not json")
+
+
+# (name, overrides of the train document or the whole text, message fragment);
+# each document has exactly one defect
+_TRAIN_PARTITIONS = {"a": [["w"], ["v"]], "b": [["w"], ["v"]], "c": [["w", "v"]]}
+MODEL_DEFECTS = [
+    ("bad name", {"atoms": ["p", "Q"]}, "bad atom name"),
+    ("reserved word", {"atoms": ["p", "top"]}, "reserved"),
+    ("duplicate agent", {"agents": ["a", "b", "c", "a"]}, "duplicate agent"),
+    ("duplicate atom", {"atoms": ["p", "p"]}, "duplicate atom"),
+    ("duplicate state", {"states": ["w", "v", "w"]}, "duplicate state"),
+    ("no states", {"states": [], "valuation": {}, "partitions": {"a": [], "b": [], "c": []},
+                   "designated": None}, "no states"),
+    ("valuation missing", {"valuation": {"w": []}}, "valuation missing"),
+    ("valuation for unknown state", {"valuation": {"w": [], "v": ["p"], "u": []}},
+     "valuation for unknown state"),
+    ("undeclared atom", {"valuation": {"w": ["z"], "v": ["p"]}}, "undeclared atom"),
+    ("partition missing", {"partitions": {"a": [["w"], ["v"]], "b": [["w"], ["v"]]}},
+     "partition missing"),
+    ("partition for undeclared agent", {"partitions": {**_TRAIN_PARTITIONS, "d": [["w", "v"]]}},
+     "undeclared agent"),
+    ("empty block", {"partitions": {**_TRAIN_PARTITIONS, "a": [["w"], [], ["v"]]}},
+     "empty partition block"),
+    ("unknown state in partition", {"partitions": {**_TRAIN_PARTITIONS, "a": [["w"], ["v"], ["u"]]}},
+     "unknown state"),
+    ("overlap", {"partitions": {**_TRAIN_PARTITIONS, "a": [["w", "v"], ["v"]]}}, "overlap"),
+    ("not covering", {"partitions": {**_TRAIN_PARTITIONS, "a": [["w"]]}}, "does not cover"),
+    ("bad designated state", {"designated": "zz"}, "designated"),
+    ("invalid JSON", "{not json", "not valid JSON"),
+    ("unknown field", {"comment": "x"}, "unknown field"),
+]
+
+
+def _defective(overrides) -> str:
+    if isinstance(overrides, str):
+        return overrides
+    doc = json.loads(TRAIN_DOCUMENT)
+    doc.update(overrides)
+    if doc["designated"] is None:
+        del doc["designated"]
+    return json.dumps(doc)
+
+
+class TestModelDefects:
+    @pytest.mark.parametrize("overrides, fragment",
+                             [case[1:] for case in MODEL_DEFECTS], ids=[c[0] for c in MODEL_DEFECTS])
+    def test_rejected(self, overrides, fragment, tmp_path, capsys):
+        self._assert_rejected(_defective(overrides), fragment, tmp_path, capsys)
+
+    # a JSON list where a state name belongs is an input error, not a crash
+    @pytest.mark.parametrize("overrides, fragment", [
+        ({"designated": ["w"]}, "designated state ['w'] is not declared"),
+        ({"partitions": {**_TRAIN_PARTITIONS, "a": [[["w"]], ["v"]]}},
+         "agent 'a': unknown state ['w'] in partition"),
+    ])
+    def test_unhashable_state_names_rejected(self, overrides, fragment, tmp_path, capsys):
+        self._assert_rejected(_defective(overrides), fragment, tmp_path, capsys)
+
+    @staticmethod
+    def _assert_rejected(text, fragment, tmp_path, capsys):
+        with pytest.raises(ModelError) as excinfo:
+            parse_model(text)
+        assert fragment in str(excinfo.value)
+        path = tmp_path / "bad.model"
+        path.write_text(text)
+        assert main(["check", "--model", str(path), "--state", "w", "--formula", "p"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("states, agents, atoms", [
+        (["W"], ["a"], ["p"]), (["w"], ["A"], ["p"]), (["w"], ["a"], ["top"]), (["w"], ["bot"], ["p"]),
+    ])
+    def test_render_rejects_names_outside_the_syntax(self, states, agents, atoms):
+        model = EpistemicModel(states, agents, atoms, {a: [states] for a in agents},
+                               {atom: [] for atom in atoms})
+        with pytest.raises(ModelError):
+            render_model(model)

@@ -53,7 +53,7 @@ class TestSuiteConfig:
 
     def test_positive(self):
         with pytest.raises(ValueError):
-            SuiteConfig(n_agents=0)
+            SuiteConfig(max_states=0)
 
     def test_zero_models_allowed(self):
         report = run_axiom_suite(SuiteConfig(model_count=0))
