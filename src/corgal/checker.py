@@ -10,10 +10,10 @@ memoised on the nodes, so a key costs O(1) to hash.
 The quantified operators range over the joint announcements of a group.
 Their truth sets in M|S are the intersections, over the members, of
 unions of each member's blocks widened to whole bisimulation classes of
-M|S (model.refinement, cached per S).  Each distinct such intersection,
-an extension, is enumerated once, S itself first so that silence is the
-first candidate.  Extensions are unions of bisimulation classes, so the
-operator's clause yields a mask over S directly.
+M|S (model.widened_blocks, cached per S).  Each distinct such
+intersection, an extension, is enumerated once, S itself first so that
+silence is the first candidate.  Extensions are unions of bisimulation
+classes, so the operator's clause yields a mask over S directly.
 
 Each operator's clause is written once, in _Root.clause: over a domain S
 and a focus F within it, it yields per extension c whose scope (c, or c
@@ -119,7 +119,7 @@ from .model import (
     StateSet,
     block_unions,
     definable_formula,
-    refinement,
+    widened_blocks,
 )
 
 
@@ -257,7 +257,7 @@ class _Root:
         classes of M|domain, ordered by their lowest state."""
         hit = self._saturated.get(domain)
         if hit is None:
-            hit = self._saturated[domain] = refinement(self.model, domain)[1]
+            hit = self._saturated[domain] = widened_blocks(self.model, domain)
         return hit
 
     def extensions(self, domain: StateSet, group: frozenset[str]) -> list[StateSet]:
@@ -288,9 +288,10 @@ class _Root:
     def cells(self, domain: StateSet, group: frozenset[str]) -> list[StateSet]:
         """The cells of `group` in M|domain: the distinct X_G(s), each the
         smallest extension containing its states.  They partition domain."""
+        saturated = self.saturated(domain)
         cells = [domain]
         for agent in [a for a in self.model.agents if a in group]:
-            cells = [part for c in cells for w in self.saturated(domain)[agent] if (part := c & w)]
+            cells = [part for c in cells for w in saturated[agent] if (part := c & w)]
         return cells
 
     def decomposition(

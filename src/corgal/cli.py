@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from functools import cache
 
 from .checker import (
     NotQuantified,
@@ -45,7 +46,8 @@ _CAP_HELP = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache  # built on the first call, not at import; parsing leaves it unchanged
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corgal",
         description="model checking for group and coalition announcement logic",
@@ -177,7 +179,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = {
         "check": _cmd_check,
         "witness": _cmd_witness,

@@ -5,9 +5,14 @@ States are indexed and state sets are bitmasks (bit i = state i), which
 keeps announcement updates and the choice-set enumeration cheap.
 Bisimulation classes are computed in one place, refinement(): partition
 refinement on masks over any restriction M|S, which gives the classes of
-every round and each agent's blocks widened to the final classes; that
-of the whole model is computed once and kept on the model.  The
-checker's quantifiers, contract(), characteristic_formulas() and
+every round and each agent's blocks widened to the final classes.  Every
+restriction starts from the model's valuation partition, computed once
+and kept on the model, as is the refinement of the whole model.  The
+refinement stops as soon as every state is its own class: distinct
+blocks meet disjoint singleton classes, so no region merges blocks and
+no class splits, and the widened blocks are the blocks themselves.  The
+checker's quantifiers (through widened_blocks(), which leaves the rounds
+unordered), contract(), characteristic_formulas() and
 characteristic_size() all use it; the last two share one recurrence over
 the final classes, so neither needs a contracted model.  A choice set is
 one union of equivalence classes per group member; on a
@@ -73,11 +78,15 @@ class EpistemicModel:
     agent's indistinguishability relation an equivalence relation by
     construction.  The constructor is the one check of that structure:
     it raises ValueError for a duplicate name, no states, a partition
-    missing or for an undeclared agent, and an empty, overlapping or
-    non-covering block or one naming an undeclared state.
+    missing or for an undeclared agent, an empty, overlapping or
+    non-covering block or one naming an undeclared state, and a
+    valuation not given for exactly the declared atoms or naming an
+    undeclared state.
     """
 
-    # refinement(model, model.full), filled on first use
+    # the states split by the valuation, and refinement(model, model.full);
+    # both filled on first use
+    _by_valuation = None
     _refined = None
 
     def __init__(
@@ -140,7 +149,15 @@ class EpistemicModel:
 
         if set(valuation) != set(self.atoms):
             raise ValueError("valuation must be given for exactly the declared atoms")
-        self._val = {atom: self.state_mask(valuation[atom]) for atom in self.atoms}
+        self._val: dict[str, StateSet] = {}
+        for atom in self.atoms:
+            v = 0
+            for name in valuation[atom]:
+                try:
+                    v |= 1 << self._index[name]
+                except (KeyError, TypeError):
+                    raise ValueError(f"atom {atom!r}: unknown state {name!r} in valuation") from None
+            self._val[atom] = v
 
     def state_index(self, name: str) -> int:
         try:
@@ -217,30 +234,44 @@ def refinement(
     Returns the classes of every round and each agent's blocks of
     M|domain widened to whole final classes (the blocks of the contracted
     M|domain, pulled back; one agent's stay disjoint), all ordered by
-    their lowest state.  Round 0 splits domain by the valuation; a round
-    splits states whose blocks meet different classes of the round
-    before, for all agents at once, so the number of rounds is the depth
-    the characteristic formulas need.  The refinement of the whole model
-    is computed once and kept on the model, which is immutable; callers
-    must not change what they get.
+    their lowest state.  Round 0 is the model's valuation partition
+    restricted to domain; a round splits states whose blocks meet
+    different classes of the round before, for all agents at once, so the
+    number of rounds is the depth the characteristic formulas need.
+
+    Refinement stops once every state is its own class.  A discrete
+    partition is stable and its widened blocks are the agents' blocks
+    themselves: distinct blocks of one agent meet disjoint sets of
+    singleton classes, so no region merges two blocks and no class
+    splits.  The valuation partition and the refinement of the whole
+    model are computed once and kept on the model, which is immutable;
+    callers must not change what they get.
     """
-    if domain != model.full:
-        return _refine(model, domain)
-    if model._refined is None:
-        model._refined = _refine(model, domain)
-    return model._refined
+    if domain == model.full and model._refined is not None:
+        return model._refined
+    rounds, widened = _refine(model, domain)
+    result = [sorted(r, key=_first) for r in rounds], widened
+    if domain == model.full:
+        model._refined = result
+    return result
+
+
+def widened_blocks(model: EpistemicModel, domain: StateSet) -> dict[str, tuple[StateSet, ...]]:
+    """refinement(model, domain)[1], without ordering the rounds."""
+    if domain == model.full:
+        return refinement(model, domain)[1]
+    return _refine(model, domain)[1]
 
 
 def _refine(
     model: EpistemicModel, domain: StateSet
 ) -> tuple[list[list[StateSet]], dict[str, tuple[StateSet, ...]]]:
-    blocks = [[b & domain for b in model.blocks(a) if b & domain] for a in model.agents]
-    classes = [domain]
-    for atom in model.atoms:
-        v = model.valuation_mask(atom)
-        classes = [part for c in classes for part in (c & v, c & ~v) if part]
+    """refinement() with its rounds in the order they were split."""
+    classes = [part for c in _valuation_partition(model) if (part := c & domain)]
     rounds = [classes]
-    while True:
+    blocks = [[b & domain for b in model.blocks(a) if b & domain] for a in model.agents]
+    size = domain.bit_count()
+    while len(classes) < size:
         refined = classes
         regions_by_agent = []
         for agent_blocks in blocks:
@@ -258,12 +289,26 @@ def _refine(
             break
         classes = refined
         rounds.append(classes)
+    else:
+        # discrete: each block is its own region (see refinement)
+        regions_by_agent = blocks
     # on stable classes each region is the union of the classes its blocks meet
     widened = {
         a: tuple(sorted(regions, key=_first))
         for a, regions in zip(model.agents, regions_by_agent)
     }
-    return [sorted(r, key=_first) for r in rounds], widened
+    return rounds, widened
+
+
+def _valuation_partition(model: EpistemicModel) -> list[StateSet]:
+    """The model's states split by the valuation, kept on the model."""
+    if model._by_valuation is None:
+        classes = [model.full]
+        for atom in model.atoms:
+            v = model.valuation_mask(atom)
+            classes = [part for c in classes for part in (c & v, c & ~v) if part]
+        model._by_valuation = classes
+    return model._by_valuation
 
 
 def _first(mask: StateSet) -> int:

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import corgal
 from corgal import COUNTEREXAMPLE_DOCUMENT, TRAIN_DOCUMENT, parse_model, models_equal
 from corgal.cli import main
 
@@ -207,3 +212,33 @@ class TestSuite:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["suite", "nonsense"])
+
+
+class TestSharedParser:
+    def test_one_process_prints_what_fresh_processes_print(self, counter_path, capsys, monkeypatch):
+        # main builds its parser once per process; every later call must
+        # still behave as the first call of a fresh `python -m corgal`
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        query = ["--model", counter_path, "--state", "pqr", "--formula", f"<[{{a,b}}]> ({GOAL})"]
+        calls = [
+            (["check", *query], 0),
+            (["check", "--trace", *query], 0),
+            (["witness", *query], 0),
+            (["check", "--no-such-option", *query], 2),
+            (["check", "--cap", "0", *query], 2),
+            (["translate", "--formula", "[! p] K a p"], 0),
+            (["contract", "--model", counter_path], 0),
+            (["suite", "repro"], 0),
+            (["check", *query], 0),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(corgal.__file__).resolve().parents[1]))
+        for argv, expected in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-m", "corgal", *argv], env=env,
+                                   capture_output=True, text=True, timeout=120)
+            assert code == expected, argv
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -55,6 +55,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="empty"):
             EpistemicModel(["x"], ["a"], ["p"], {"a": [["x"], []]}, {"p": []})
 
+    def test_valuation_naming_an_unknown_state(self):
+        with pytest.raises(ValueError, match="^atom 'p': unknown state 'zz' in valuation$"):
+            EpistemicModel(["w"], ["a"], ["p"], {"a": [["w"]]}, {"p": ["zz"]})
+
+    def test_valuation_entry_that_is_not_a_state_name(self):
+        with pytest.raises(ValueError, match=r"^atom 'p': unknown state \['w'\] in valuation$"):
+            EpistemicModel(["w"], ["a"], ["p"], {"a": [["w"]]}, {"p": [["w"]]})
+
 
 class TestUpdate:
     def test_train_announcement_drops_a_state(self, train):
@@ -172,21 +180,27 @@ def signature_rounds(m: EpistemicModel, domain: int) -> list[list[int]]:
 class TestRefinement:
     def test_rounds_match_signature_refinement(self):
         models = [*enumerate_small_models(3, 2, 1), *doubled_models()]
+        models += [random_model(seed, 6, 3, 1) for seed in range(20)]
         models += [random_model(seed, 7, 3, 1) for seed in range(30)]
-        checked, deepest = 0, 0
+        # refinement stops once the classes are discrete; count how each
+        # domain ends: discrete after the valuation split, discrete after
+        # one or more splits, or stable with a class of several states
+        exits = {"valuation": 0, "split": 0, "stable": 0}
+        deepest = 0
         for m in models:
-            domains = {m.full} | {m.valuation_mask(p) for p in m.atoms}
-            domains |= {truth_set(m, Know(a, Atom(p))) for a in m.agents for p in m.atoms}
-            for domain in domains - {0}:
+            for domain in range(1, m.full + 1):
                 rounds, widened = refinement(m, domain)
                 assert rounds == signature_rounds(m, domain), (m, domain)
                 for a in m.agents:
                     blocks = [b & domain for b in m.blocks(a) if b & domain]
                     expected = {sum(c for c in rounds[-1] if c & b) for b in blocks}
                     assert widened[a] == tuple(sorted(expected, key=lambda u: u & -u))
-                checked += 1
+                if len(rounds[-1]) < domain.bit_count():
+                    exits["stable"] += 1
+                else:
+                    exits["valuation" if len(rounds) == 1 else "split"] += 1
                 deepest = max(deepest, len(rounds))
-        assert checked > 700 and deepest > 4
+        assert min(exits.values()) > 500 and deepest > 4, (exits, deepest)
 
 
 class TestCharacteristicFormulas:
