@@ -233,9 +233,13 @@ class _Root:
         if isinstance(f, Iff):
             return domain & ~(self.truth(domain, f.left) ^ self.truth(domain, f.right))
         if isinstance(f, Know):
+            try:
+                blocks = model.blocks(f.agent)
+            except KeyError:
+                raise UndeclaredSymbol(f"unknown agent {f.agent!r}") from None
             t = self.truth(domain, f.sub)
             mask = 0
-            for block in model.blocks(f.agent):
+            for block in blocks:
                 block &= domain
                 if block & ~t == 0:
                     mask |= block
@@ -254,7 +258,7 @@ class _Root:
 
     def saturated(self, domain: StateSet) -> dict[str, tuple[StateSet, ...]]:
         """Each agent's blocks of M|domain widened to whole bisimulation
-        classes of M|domain, ordered by their lowest state."""
+        classes of M|domain, in no fixed order."""
         hit = self._saturated.get(domain)
         if hit is None:
             hit = self._saturated[domain] = widened_blocks(self.model, domain)
@@ -274,7 +278,8 @@ class _Root:
             n_unions = (1 << len(saturated[agent])) - 1
             if n_unions > self.cap:
                 raise EnumerationCapExceeded(n_unions, self.cap)
-            unions = block_unions(saturated[agent])
+            # by lowest state, which fixes the order of extensions
+            unions = block_unions(sorted(saturated[agent], key=lambda w: w & -w))
             seen: dict[StateSet, None] = {}
             for e in found:
                 seen.update(dict.fromkeys([e & u for u in unions]))

@@ -12,7 +12,7 @@ refinement stops as soon as every state is its own class: distinct
 blocks meet disjoint singleton classes, so no region merges blocks and
 no class splits, and the widened blocks are the blocks themselves.  The
 checker's quantifiers (through widened_blocks(), which leaves the rounds
-unordered), contract(), characteristic_formulas() and
+and blocks unordered), contract(), characteristic_formulas() and
 characteristic_size() all use it; the last two share one recurrence over
 the final classes, so neither needs a contracted model.  A choice set is
 one union of equivalence classes per group member; on a
@@ -250,14 +250,17 @@ def refinement(
     if domain == model.full and model._refined is not None:
         return model._refined
     rounds, widened = _refine(model, domain)
-    result = [sorted(r, key=_first) for r in rounds], widened
+    result = (
+        [sorted(r, key=_first) for r in rounds],
+        {a: tuple(sorted(w, key=_first)) for a, w in widened.items()},
+    )
     if domain == model.full:
         model._refined = result
     return result
 
 
 def widened_blocks(model: EpistemicModel, domain: StateSet) -> dict[str, tuple[StateSet, ...]]:
-    """refinement(model, domain)[1], without ordering the rounds."""
+    """refinement(model, domain)[1], unordered below the whole model."""
     if domain == model.full:
         return refinement(model, domain)[1]
     return _refine(model, domain)[1]
@@ -266,7 +269,8 @@ def widened_blocks(model: EpistemicModel, domain: StateSet) -> dict[str, tuple[S
 def _refine(
     model: EpistemicModel, domain: StateSet
 ) -> tuple[list[list[StateSet]], dict[str, tuple[StateSet, ...]]]:
-    """refinement() with its rounds in the order they were split."""
+    """refinement() with its rounds and blocks in the order they were
+    split."""
     classes = [part for c in _valuation_partition(model) if (part := c & domain)]
     rounds = [classes]
     blocks = [[b & domain for b in model.blocks(a) if b & domain] for a in model.agents]
@@ -293,10 +297,7 @@ def _refine(
         # discrete: each block is its own region (see refinement)
         regions_by_agent = blocks
     # on stable classes each region is the union of the classes its blocks meet
-    widened = {
-        a: tuple(sorted(regions, key=_first))
-        for a, regions in zip(model.agents, regions_by_agent)
-    }
+    widened = {a: tuple(regions) for a, regions in zip(model.agents, regions_by_agent)}
     return rounds, widened
 
 

@@ -44,9 +44,11 @@ from .model import EpistemicModel
 NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 RESERVED = frozenset({"top", "bot"})
 
-# Operators and parentheses may nest this deep.  The parser and the
-# evaluator recurse once or a few times per level, and this bound keeps
-# them well inside Python's default recursion limit.
+# Operators and parentheses may nest this deep, and the tree a formula
+# parses to may be this high, a chain of n operands of a binary
+# connective counting n - 1 levels.  The parser, the evaluator and the
+# walks over formulas recurse once or a few times per level, and this
+# bound keeps them well inside Python's default recursion limit.
 MAX_NESTING = 100
 
 _SYMBOLS = ("<->", "->", "[", "]", "<", ">", "{", "}", "(", ")", ",", "~", "&", "|", "!")
@@ -133,6 +135,8 @@ class _Parser:
         self.tokens = _lex(text)
         self.pos = 0
         self.nesting = 0
+        # the height of each node built so far, by identity; leaves have 0
+        self.heights: dict[int, int] = {}
 
     def _peek(self, ahead: int = 0) -> _Token | None:
         i = self.pos + ahead
@@ -167,6 +171,18 @@ class _Parser:
         tok = self._peek(ahead)
         return tok is not None and tok.text == text
 
+    def _too_deep(self, tok: _Token) -> ParseError:
+        return ParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.line, tok.column)
+
+    def _build(self, tok: _Token, op: type[Formula], *fields: object) -> Formula:
+        """op(*fields), unless the tree would grow higher than MAX_NESTING."""
+        height = 1 + max(self.heights.get(id(x), 0) for x in fields if isinstance(x, Formula))
+        if height > MAX_NESTING:
+            raise self._too_deep(tok)
+        f = op(*fields)
+        self.heights[id(f)] = height
+        return f
+
     def parse(self) -> Formula:
         f = self._iff()
         tok = self._peek()
@@ -180,32 +196,30 @@ class _Parser:
     def _iff(self) -> Formula:
         f = self._imp()
         while self._at("<->"):
-            self._advance()
-            f = Iff(f, self._imp())
+            f = self._build(self._advance(), Iff, f, self._imp())
         return f
 
     def _imp(self) -> Formula:
         operands = [self._or()]
+        arrows: list[_Token] = []
         while self._at("->"):
-            self._advance()
+            arrows.append(self._advance())
             operands.append(self._or())
         f = operands.pop()
         while operands:
-            f = Imp(operands.pop(), f)
+            f = self._build(arrows.pop(), Imp, operands.pop(), f)
         return f
 
     def _or(self) -> Formula:
         f = self._and()
         while self._at("|"):
-            self._advance()
-            f = Or(f, self._and())
+            f = self._build(self._advance(), Or, f, self._and())
         return f
 
     def _and(self) -> Formula:
         f = self._unary()
         while self._at("&"):
-            self._advance()
-            f = And(f, self._unary())
+            f = self._build(self._advance(), And, f, self._unary())
         return f
 
     def _unary(self) -> Formula:
@@ -222,9 +236,7 @@ class _Parser:
             return Atom(tok.text)
         self.nesting += 1
         if self.nesting > MAX_NESTING:
-            raise ParseError(
-                f"formula nests deeper than {MAX_NESTING} levels", tok.line, tok.column
-            )
+            raise self._too_deep(tok)
         f = self._operator(tok)
         self.nesting -= 1
         return f
@@ -232,11 +244,11 @@ class _Parser:
     def _operator(self, tok: _Token) -> Formula:
         if tok.text == "~":
             self._advance()
-            return Not(self._unary())
+            return self._build(tok, Not, self._unary())
         if tok.text == "K":
             self._advance()
             agent = self._agent()
-            return Know(agent, self._unary())
+            return self._build(tok, Know, agent, self._unary())
         if tok.text in _CLOSE:
             return self._bracket()
         if tok.text == "(":
@@ -250,7 +262,8 @@ class _Parser:
         )
 
     def _bracket(self) -> Formula:
-        opening = self._advance().text
+        tok = self._advance()
+        opening = tok.text
         close = _CLOSE[opening]
         nxt = self._peek()
         op = _BRACKETS.get((opening, nxt.text if nxt is not None else None))
@@ -264,7 +277,7 @@ class _Parser:
             self._advance()
             ann = self._iff()
             self._expect(close)
-            return op(ann, self._unary())
+            return self._build(tok, op, ann, self._unary())
         if nxt.text == "{":
             group = self._group()
             cond: Formula = TOP
@@ -272,12 +285,12 @@ class _Parser:
                 self._advance()
                 cond = self._iff()
             self._expect(close)
-            return op(group, cond, self._unary())
+            return self._build(tok, op, group, cond, self._unary())
         self._advance()
         group = self._group()
         self._expect(_CLOSE[nxt.text])
         self._expect(close)
-        return op(group, self._unary())
+        return self._build(tok, op, group, self._unary())
 
     def _group(self) -> frozenset[str]:
         self._expect("{")

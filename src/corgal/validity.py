@@ -10,12 +10,13 @@ text to replay them through the parser.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import product
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .builtin import COUNTEREXAMPLE_DOCUMENT, TRAIN_DOCUMENT
 from .checker import (
@@ -120,23 +121,8 @@ class SuiteReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases": self.cases,
-            "passed": self.passed,
-            "failures": [
-                {
-                    "claim": f.claim,
-                    "model_document": f.model_document,
-                    "state": f.state,
-                    "formula": f.formula,
-                    "detail": f.detail,
-                }
-                for f in self.failures
-            ],
-            "skipped": list(self.skipped),
-            "notes": list(self.notes),
-        }
+        suite, cases, *rest = asdict(self).items()
+        return dict([suite, cases, ("passed", self.passed), *rest])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -177,10 +163,11 @@ def gen_formula(
     return _gen(rng, target, max_depth, tuple(atoms), tuple(agents))
 
 
-_EL_NODES = ("not", "and", "or", "imp", "iff", "know", "know")
-_PAL_NODES = _EL_NODES + ("ann", "ann", "anndual")
-_RGAL_NODES = _PAL_NODES + ("relgroup", "relgroupdual")
-_CORGAL_NODES = _RGAL_NODES + ("coal", "coaldual")
+# a node class drawn twice is twice as likely
+_EL_NODES: tuple[type[Formula], ...] = (Not, And, Or, Imp, Iff, Know, Know)
+_PAL_NODES = _EL_NODES + (Ann, Ann, AnnDual)
+_RGAL_NODES = _PAL_NODES + (RelGroup, RelGroupDual)
+_CORGAL_NODES = _RGAL_NODES + (Coal, CoalDual)
 _NODES_BY_STRATUM = {
     Stratum.EL: _EL_NODES,
     Stratum.PAL: _PAL_NODES,
@@ -203,31 +190,14 @@ def _gen(
         if roll < 0.14:
             return BOT
         return Atom(rng.choice(atoms))
-    kind = rng.choice(_NODES_BY_STRATUM[target])
-    sub = lambda: _gen(rng, target, depth - 1, atoms, agents)  # noqa: E731
-    if kind == "not":
-        return Not(sub())
-    if kind == "and":
-        return And(sub(), sub())
-    if kind == "or":
-        return Or(sub(), sub())
-    if kind == "imp":
-        return Imp(sub(), sub())
-    if kind == "iff":
-        return Iff(sub(), sub())
-    if kind == "know":
-        return Know(rng.choice(agents), sub())
-    if kind == "ann":
-        return Ann(sub(), sub())
-    if kind == "anndual":
-        return AnnDual(sub(), sub())
-    if kind == "relgroup":
-        return RelGroup(_gen_group(rng, agents), sub(), sub())
-    if kind == "relgroupdual":
-        return RelGroupDual(_gen_group(rng, agents), sub(), sub())
-    if kind == "coal":
-        return Coal(_gen_group(rng, agents), sub())
-    return CoalDual(_gen_group(rng, agents), sub())
+    node = rng.choice(_NODES_BY_STRATUM[target])
+    # the node's fields are drawn in declaration order
+    return node(*[
+        _gen_group(rng, agents) if name == "group"
+        else rng.choice(agents) if name == "agent"
+        else _gen(rng, target, depth - 1, atoms, agents)
+        for name in node.__match_args__
+    ])
 
 
 def _gen_group(rng: random.Random, agents: tuple[str, ...]) -> frozenset[str]:
@@ -284,94 +254,19 @@ _TAUT_TEMPLATES: tuple[Callable[[Formula, Formula, Formula], Formula], ...] = (
     lambda p, q, r: Iff(Not(Or(p, q)), And(Not(p), Not(q))),
 )
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "A0": ("phi", "psi", "chi"),
-    "A1": ("agent", "phi", "psi"),
-    "A2": ("agent", "phi"),
-    "A3": ("agent", "phi"),
-    "A4": ("agent", "phi"),
-    "A5": ("phi", "atom"),
-    "A6": ("phi", "psi"),
-    "A7": ("phi", "psi", "chi"),
-    "A8": ("agent", "phi", "psi"),
-    "A9": ("phi", "psi", "chi"),
-    "A10": ("group", "chi", "phi", "psi_g"),
-    "A11": ("group", "phi", "psi_g", "all_agents"),
-    "C1": ("group",),
-    "C2": ("group",),
-    "C3": ("phi", "all_agents"),
-    "C4": ("group", "phi", "psi"),
-    "C5": ("group", "group2", "phi", "psi"),
-}
 
-AXIOM_IDS: tuple[str, ...] = (
-    "A0", "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10", "A11",
-    "C1", "C2", "C3", "C4", "C5",
-)
+def _group_reduction(den: Formula, chi: Formula, phi: Formula) -> Formula:
+    """chi & [!(den & chi)] phi: the group announces den under the
+    condition chi, in place of [G, chi] phi."""
+    return And(chi, Ann(And(den, chi), phi))
 
 
-def axiom_instance(axiom_id: str, bindings: Mapping[str, object]) -> Formula:
-    """Close an axiom schema with the given metavariable bindings."""
-    if axiom_id not in _REQUIRED:
-        raise ValueError(f"unknown axiom id {axiom_id!r}")
-    missing = [k for k in _REQUIRED[axiom_id] if k not in bindings]
-    if missing:
-        raise MissingBinding(f"{axiom_id} needs binding {missing[0]!r}")
-    phi = bindings.get("phi")
-    psi = bindings.get("psi")
-    chi = bindings.get("chi")
-    agent = bindings.get("agent")
-    group = bindings.get("group")
-
-    if axiom_id == "A0":
-        template = _TAUT_TEMPLATES[bindings.get("taut", 0) % len(_TAUT_TEMPLATES)]
-        return template(phi, psi, chi)
-    if axiom_id == "A1":
-        return Imp(Know(agent, Imp(phi, psi)), Imp(Know(agent, phi), Know(agent, psi)))
-    if axiom_id == "A2":
-        return Imp(Know(agent, phi), phi)
-    if axiom_id == "A3":
-        return Imp(Know(agent, phi), Know(agent, Know(agent, phi)))
-    if axiom_id == "A4":
-        return Imp(Not(Know(agent, phi)), Know(agent, Not(Know(agent, phi))))
-    if axiom_id == "A5":
-        atom = Atom(bindings["atom"])
-        return Iff(Ann(phi, atom), Imp(phi, atom))
-    if axiom_id == "A6":
-        return Iff(Ann(phi, Not(psi)), Imp(phi, Not(Ann(phi, psi))))
-    if axiom_id == "A7":
-        return Iff(Ann(phi, And(psi, chi)), And(Ann(phi, psi), Ann(phi, chi)))
-    if axiom_id == "A8":
-        return Iff(Ann(phi, Know(agent, psi)), Imp(phi, Know(agent, Ann(phi, psi))))
-    if axiom_id == "A9":
-        return Iff(Ann(phi, Ann(psi, chi)), Ann(And(phi, Ann(phi, psi)), chi))
-    if axiom_id == "A10":
-        den = _group_denotation(bindings["psi_g"], group, axiom_id)
-        return Imp(RelGroup(group, chi, phi), And(chi, Ann(And(den, chi), phi)))
-    if axiom_id == "A11":
-        den = _group_denotation(bindings["psi_g"], group, axiom_id)
-        others = frozenset(bindings["all_agents"]) - group
-        return Imp(Coal(group, phi), RelGroupDual(others, den, phi))
-    if axiom_id == "C1":
-        return Not(CoalDual(group, BOT))
-    if axiom_id == "C2":
-        return CoalDual(group, TOP)
-    if axiom_id == "C3":
-        return Imp(
-            Not(CoalDual(frozenset(), Not(phi))),
-            CoalDual(frozenset(bindings["all_agents"]), phi),
-        )
-    if axiom_id == "C4":
-        return Imp(CoalDual(group, And(phi, psi)), CoalDual(group, phi))
-    if axiom_id == "C5":
-        group2 = bindings["group2"]
-        if group & group2:
-            raise DisjointnessViolation("C5 requires disjoint groups")
-        return Imp(
-            And(CoalDual(group, phi), CoalDual(group2, psi)),
-            CoalDual(group | group2, And(phi, psi)),
-        )
-    raise AssertionError(axiom_id)
+def _coalition_reduction(
+    den: Formula, group: frozenset[str], all_agents: Iterable[str], phi: Formula
+) -> Formula:
+    """<G', den> phi: the other agents G' answer the coalition's
+    announcement den, in place of [<G>] phi."""
+    return RelGroupDual(frozenset(all_agents) - group, den, phi)
 
 
 def _group_denotation(
@@ -380,6 +275,84 @@ def _group_denotation(
     if psi_g.group != group:
         raise ValueError(f"{axiom_id}: psi_g bindings must cover exactly the group")
     return psi_g.denotation()
+
+
+def _c5(
+    group: frozenset[str], group2: frozenset[str], phi: Formula, psi: Formula
+) -> Formula:
+    if group & group2:
+        raise DisjointnessViolation("C5 requires disjoint groups")
+    return Imp(
+        And(CoalDual(group, phi), CoalDual(group2, psi)),
+        CoalDual(group | group2, And(phi, psi)),
+    )
+
+
+# Each schema's builder; its parameters without a default are the
+# schema's metavariables, in the order MissingBinding reports them.
+AXIOMS: dict[str, Callable[..., Formula]] = {
+    "A0": lambda phi, psi, chi, taut=0: (
+        _TAUT_TEMPLATES[taut % len(_TAUT_TEMPLATES)](phi, psi, chi)
+    ),
+    "A1": lambda agent, phi, psi: Imp(
+        Know(agent, Imp(phi, psi)), Imp(Know(agent, phi), Know(agent, psi))
+    ),
+    "A2": lambda agent, phi: Imp(Know(agent, phi), phi),
+    "A3": lambda agent, phi: Imp(Know(agent, phi), Know(agent, Know(agent, phi))),
+    "A4": lambda agent, phi: Imp(Not(Know(agent, phi)), Know(agent, Not(Know(agent, phi)))),
+    "A5": lambda phi, atom: Iff(Ann(phi, Atom(atom)), Imp(phi, Atom(atom))),
+    "A6": lambda phi, psi: Iff(Ann(phi, Not(psi)), Imp(phi, Not(Ann(phi, psi)))),
+    "A7": lambda phi, psi, chi: Iff(
+        Ann(phi, And(psi, chi)), And(Ann(phi, psi), Ann(phi, chi))
+    ),
+    "A8": lambda agent, phi, psi: Iff(
+        Ann(phi, Know(agent, psi)), Imp(phi, Know(agent, Ann(phi, psi)))
+    ),
+    "A9": lambda phi, psi, chi: Iff(Ann(phi, Ann(psi, chi)), Ann(And(phi, Ann(phi, psi)), chi)),
+    "A10": lambda group, chi, phi, psi_g: Imp(
+        RelGroup(group, chi, phi),
+        _group_reduction(_group_denotation(psi_g, group, "A10"), chi, phi),
+    ),
+    "A11": lambda group, phi, psi_g, all_agents: Imp(
+        Coal(group, phi),
+        _coalition_reduction(_group_denotation(psi_g, group, "A11"), group, all_agents, phi),
+    ),
+    "C1": lambda group: Not(CoalDual(group, BOT)),
+    "C2": lambda group: CoalDual(group, TOP),
+    "C3": lambda phi, all_agents: Imp(
+        Not(CoalDual(frozenset(), Not(phi))), CoalDual(frozenset(all_agents), phi)
+    ),
+    "C4": lambda group, phi, psi: Imp(CoalDual(group, And(phi, psi)), CoalDual(group, phi)),
+    "C5": _c5,
+}
+
+AXIOM_IDS: tuple[str, ...] = tuple(AXIOMS)
+
+
+def _parameters(builder: Callable[..., Formula]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """A builder's metavariables, then its parameters with a default."""
+    parameters = inspect.signature(builder).parameters.values()
+    return (
+        tuple(p.name for p in parameters if p.default is p.empty),
+        tuple(p.name for p in parameters if p.default is not p.empty),
+    )
+
+
+# worked out once, not on every instance
+_PARAMETERS = {axiom_id: _parameters(builder) for axiom_id, builder in AXIOMS.items()}
+
+
+def axiom_instance(axiom_id: str, bindings: Mapping[str, object]) -> Formula:
+    """Close an axiom schema with the given metavariable bindings."""
+    if axiom_id not in AXIOMS:
+        raise ValueError(f"unknown axiom id {axiom_id!r}")
+    required, optional = _PARAMETERS[axiom_id]
+    missing = [k for k in required if k not in bindings]
+    if missing:
+        raise MissingBinding(f"{axiom_id} needs binding {missing[0]!r}")
+    return AXIOMS[axiom_id](
+        *[bindings[k] for k in required], **{k: bindings[k] for k in optional if k in bindings}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -567,17 +540,12 @@ def run_quantifier_rule_suite(cfg: SuiteConfig) -> SuiteReport:
             group = _gen_group(rng, model.agents)
             chi = TOP if rng.random() < 0.5 else _gen(rng, Stratum.PAL, 2, model.atoms, model.agents)
             phi = _gen(rng, Stratum.PAL, 2, model.atoms, model.agents)
-            others = frozenset(model.agents) - group
             for rule, inner, replace in (
-                (
-                    "R5",
-                    RelGroup(group, chi, phi),
-                    lambda den: And(chi, Ann(And(den, chi), phi)),
-                ),
+                ("R5", RelGroup(group, chi, phi), lambda den: _group_reduction(den, chi, phi)),
                 (
                     "R6",
                     Coal(group, phi),
-                    lambda den: RelGroupDual(others, den, phi),
+                    lambda den: _coalition_reduction(den, group, model.agents, phi),
                 ),
             ):
                 conclusion = nf_instantiate(nf, inner)
@@ -785,20 +753,13 @@ def run_translation_and_measure_suite(cfg: SuiteConfig) -> SuiteReport:
         phi = _gen(rng, Stratum.CORGAL, rng.randint(1, _FORMULA_DEPTH), atoms, agents)
         group = _gen_group(rng, agents)
         den = _gen_group_knowledge(rng, group, atoms, agents).denotation()
-        others = frozenset(agents) - group
+        by_group = _group_reduction(den, chi, phi)
+        by_others = _coalition_reduction(den, group, agents, phi)
         inequalities = [
-            ("P7-1", And(chi, Ann(And(den, chi), phi)), RelGroup(group, chi, phi)),
-            (
-                "P7-2",
-                Ann(tau, And(chi, Ann(And(den, chi), phi))),
-                Ann(tau, RelGroup(group, chi, phi)),
-            ),
-            ("P7-3", RelGroupDual(others, den, phi), Coal(group, phi)),
-            (
-                "P7-4",
-                Ann(tau, RelGroupDual(others, den, phi)),
-                Ann(tau, Coal(group, phi)),
-            ),
+            ("P7-1", by_group, RelGroup(group, chi, phi)),
+            ("P7-2", Ann(tau, by_group), Ann(tau, RelGroup(group, chi, phi))),
+            ("P7-3", by_others, Coal(group, phi)),
+            ("P7-4", Ann(tau, by_others), Ann(tau, Coal(group, phi))),
         ]
         for claim, smaller, larger in inequalities:
             report.cases += 1

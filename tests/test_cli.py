@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import corgal
-from corgal import COUNTEREXAMPLE_DOCUMENT, TRAIN_DOCUMENT, parse_model, models_equal
+from corgal import (
+    COUNTEREXAMPLE_DOCUMENT, TRAIN_DOCUMENT, parse_formula, parse_model, models_equal,
+)
 from corgal.cli import main
+from corgal.parser import MAX_NESTING
 
 GOAL = "K b (p & q & r) & ~K a (p & q & r) & ~K c (p & q & r)"
 
@@ -109,6 +112,45 @@ class TestCheck:
         main(args)
         second = capsys.readouterr().out
         assert first == second
+
+
+def chain(connective: str, operands: list[str]) -> str:
+    return f" {connective} ".join(operands)
+
+
+class TestChains:
+    """A chain of n operands is a tree of height n - 1; MAX_NESTING bounds
+    the height, so chains at the bound answer and longer ones are input
+    errors, not crashes."""
+
+    def test_check_at_the_bound(self, train_path, capsys):
+        # 100 conjuncts of height 1
+        code = main(["check", "--model", train_path, "--state", "w",
+                     "--formula", chain("&", ["~p"] * MAX_NESTING)])
+        assert (code, capsys.readouterr().out) == (0, "true\n")
+
+    def test_witness_at_the_bound(self, train_path, capsys):
+        body = chain("&", ["~p"] * (MAX_NESTING - 2) + ["K c ~p"])
+        code = main(["witness", "--model", train_path, "--state", "w",
+                     "--formula", f"<[{{a}}]> ({body})"])
+        assert (code, capsys.readouterr().out) == (0, "true\nwitness: K a ~p\n")
+
+    def test_translate_at_the_bound(self, capsys):
+        code = main(["translate", "--formula", f"[! p] ({chain('&', ['q'] * MAX_NESTING)})"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert parse_formula(out) == parse_formula(chain("&", ["(p -> q)"] * MAX_NESTING))
+
+    @pytest.mark.parametrize("command", ["check", "witness", "translate"])
+    @pytest.mark.parametrize("operands", [MAX_NESTING + 2, 520, 2000])
+    def test_longer_chains_are_input_errors(self, train_path, capsys, command, operands):
+        formula = chain("&", ["p"] * operands)
+        if command == "witness":
+            formula = f"<[{{a}}]> ({formula})"
+        argv = ["--formula", formula] if command == "translate" else [
+            "--model", train_path, "--state", "w", "--formula", formula]
+        assert main([command, *argv]) == 2
+        assert "nests deeper" in capsys.readouterr().err
 
 
 class TestWitness:

@@ -350,11 +350,12 @@ def test_coalitions_over_positive_bodies_are_not_positive():
 @pytest.mark.parametrize("text", [
     "<[{zz}]> K a0 p0", "[<{zz}>] K a0 p0", "[{zz}, top] K a0 p0",
     "<{zz}, top> K a0 p0", "[{zz}, bot] p0", "<{zz}, bot> p0",
-    "[{a0}, top] <[{a1,zz}]> p0",
+    "[{a0}, top] <[{a1,zz}]> p0", "K zz p0", "[! K zz p0] p0", "<[{a0}]> K zz p0",
 ])
 def test_unknown_group_agent_under_a_positive_body(text):
     # Evaluator.truth_set runs without check_symbols, and the collapse
-    # weighs no extension of the group, yet the agent is still unknown
+    # weighs no extension of the group, yet the agent is still unknown;
+    # so is a knowing agent the model does not declare
     model = random_model(1, 4, 2, 1)
     with pytest.raises(UndeclaredSymbol, match="unknown agent 'zz'"):
         Evaluator().truth_set(model, parse_formula(text))

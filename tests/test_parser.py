@@ -108,6 +108,13 @@ class TestNestingLimit:
             lambda k: "K a " * k + "p",
             lambda k: "[! p] " * k + "p",
             lambda k: "<[{a}]> " * k + "p",
+            # a chain of k + 1 operands is a tree of height k
+            lambda k: " & ".join(["p"] * (k + 1)),
+            lambda k: " | ".join(["p"] * (k + 1)),
+            lambda k: " <-> ".join(["p"] * (k + 1)),
+            lambda k: "~" * (k // 2) + "(" + " & ".join(["p"] * (k - k // 2 + 1)) + ")",
+            lambda k: "K a (" * (k // 2) + " | ".join(["p"] * (k - k // 2 + 1)) + ")" * (k // 2),
+            lambda k: "p & (" * (k // 2) + "~" * (k - k // 2) + "p" + ")" * (k // 2),
         ],
     )
     def test_both_sides_of_the_limit(self, nest):
@@ -116,12 +123,15 @@ class TestNestingLimit:
             parse_formula(nest(MAX_NESTING + 1))
         assert err.value.line == 1
 
-    def test_long_implication_chain_is_not_nesting(self):
-        f = parse_formula(" -> ".join(["p"] * 3000))
-        for _ in range(2999):
+    def test_long_implication_chain_is_nesting(self):
+        f = parse_formula(" -> ".join(["p"] * (MAX_NESTING + 1)))
+        for _ in range(MAX_NESTING):
             assert f.left == p
             f = f.right
         assert f == p
+        for n in (MAX_NESTING + 2, 520, 3000):
+            with pytest.raises(ParseError, match="nests deeper"):
+                parse_formula(" -> ".join(["p"] * n))
 
 
 class TestRenderFormula:

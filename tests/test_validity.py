@@ -3,6 +3,7 @@ import json
 import pytest
 
 from corgal import (
+    AXIOM_IDS,
     And,
     Ann,
     Atom,
@@ -15,6 +16,7 @@ from corgal import (
     Know,
     MissingBinding,
     Not,
+    Or,
     RelGroup,
     RelGroupDual,
     Stratum,
@@ -24,6 +26,7 @@ from corgal import (
     gen_formula,
     parse_formula,
     parse_model,
+    render_formula,
     run_axiom_suite,
     run_counterexample_repro,
     run_open_question_search,
@@ -96,9 +99,65 @@ class TestAxiomInstances:
         )
         assert inst == Imp(Coal({"a"}, p), RelGroupDual({"b"}, Know("a", q), p))
 
+    def test_every_schema_renders_as_pinned(self):
+        # the suites' verdicts and failure texts depend on these exact instances
+        r = Atom("r")
+        bindings = {
+            "phi": And(p, q), "psi": Know("b", q), "chi": Not(r), "agent": "a", "atom": "r",
+            "group": frozenset({"a"}), "group2": frozenset({"c"}),
+            "psi_g": GroupKnowledgeFormula((("a", Or(p, r)),)),
+            "all_agents": frozenset({"a", "b", "c"}),
+        }
+        pinned = {
+            "A0": "(p & q) -> (K b q -> (p & q))",
+            "A1": "K a ((p & q) -> K b q) -> (K a (p & q) -> K a K b q)",
+            "A2": "K a (p & q) -> (p & q)",
+            "A3": "K a (p & q) -> K a K a (p & q)",
+            "A4": "~K a (p & q) -> K a ~K a (p & q)",
+            "A5": "[! (p & q)] r <-> ((p & q) -> r)",
+            "A6": "[! (p & q)] ~K b q <-> ((p & q) -> ~[! (p & q)] K b q)",
+            "A7": "[! (p & q)] (K b q & ~r) <-> ([! (p & q)] K b q & [! (p & q)] ~r)",
+            "A8": "[! (p & q)] K a K b q <-> ((p & q) -> K a [! (p & q)] K b q)",
+            "A9": "[! (p & q)] [! K b q] ~r <-> [! ((p & q) & [! (p & q)] K b q)] ~r",
+            "A10": "[{a}, ~r] (p & q) -> (~r & [! (K a (p | r) & ~r)] (p & q))",
+            "A11": "[<{a}>] (p & q) -> <{b,c}, K a (p | r)> (p & q)",
+            "C1": "~<[{a}]> bot",
+            "C2": "<[{a}]> top",
+            "C3": "~<[{}]> ~(p & q) -> <[{a,b,c}]> (p & q)",
+            "C4": "<[{a}]> ((p & q) & K b q) -> <[{a}]> (p & q)",
+            "C5": "(<[{a}]> (p & q) & <[{c}]> K b q) -> <[{a,c}]> ((p & q) & K b q)",
+        }
+        assert AXIOM_IDS == tuple(pinned)
+        assert {x: render_formula(axiom_instance(x, bindings)) for x in AXIOM_IDS} == pinned
+        tautologies = [
+            "(p & q) -> (K b q -> (p & q))",
+            "((p & q) -> (K b q -> ~r)) -> (((p & q) -> K b q) -> ((p & q) -> ~r))",
+            "(~(p & q) -> ~K b q) -> (K b q -> (p & q))",
+            "(p & q) | ~(p & q)",
+            "((p & q) & K b q) <-> (K b q & (p & q))",
+            "~((p & q) | K b q) <-> (~(p & q) & ~K b q)",
+        ]
+        for taut in range(7):  # the template index wraps around
+            instance = axiom_instance("A0", dict(bindings, taut=taut))
+            assert render_formula(instance) == tautologies[taut % 6]
+
+    def test_psi_g_must_cover_the_group(self):
+        psi_g = GroupKnowledgeFormula((("b", q),))
+        for axiom_id in ("A10", "A11"):
+            with pytest.raises(ValueError, match=f"{axiom_id}: psi_g bindings"):
+                axiom_instance(axiom_id, {
+                    "group": frozenset({"a"}), "chi": q, "phi": p, "psi_g": psi_g,
+                    "all_agents": ("a", "b"),
+                })
+
     def test_missing_binding(self):
-        with pytest.raises(MissingBinding):
+        with pytest.raises(MissingBinding, match="A10 needs binding 'psi_g'"):
             axiom_instance("A10", {"group": frozenset({"a"}), "chi": q, "phi": p})
+        # the first missing metavariable is named; taut has a default
+        with pytest.raises(MissingBinding, match="A11 needs binding 'phi'"):
+            axiom_instance("A11", {"group": frozenset({"a"}), "all_agents": ("a",)})
+        with pytest.raises(MissingBinding, match="A0 needs binding 'phi'"):
+            axiom_instance("A0", {"taut": 1})
 
     def test_disjointness(self):
         with pytest.raises(DisjointnessViolation):
@@ -270,6 +329,27 @@ class TestGenFormula:
         for seed in range(60):
             f = gen_formula(seed, Stratum.CORGAL, 2, ("p", "q"), ("a", "b"))
             assert depth(f) <= 2
+
+    def test_renders_as_pinned(self):
+        # every suite draws its formulas here, so its draw order must not change
+        pinned = {
+            (Stratum.EL, 3): "q <-> ~K b p",
+            (Stratum.EL, 5): "K b K c (top <-> p)",
+            (Stratum.EL, 9): "(~q & ~p) | ((q -> p) & bot)",
+            (Stratum.EL, 11): "K b K c q <-> K a p",
+            (Stratum.PAL, 3): "[! q] ([! p] q & [! p] p)",
+            (Stratum.PAL, 10): "K b ([! p] top -> (q & top))",
+            (Stratum.PAL, 11): "[! [! <! q> p] p] ~K b p",
+            (Stratum.RGAL, 5): "<{a,b,c}, ((bot | p) -> (p & q))> K a (bot & p)",
+            (Stratum.RGAL, 13): "[{c}, ([{a}, p] p | [{b}, p] q)] <{b}, (q -> q)> [{a,b,c}, p] q",
+            (Stratum.RGAL, 59): "[{a}, <{}, [! q] q> (p | bot)] K b p",
+            (Stratum.CORGAL, 11): "[! [<{a,b,c}>] [! p] bot] (<{a,b,c}, p> top & p)",
+            (Stratum.CORGAL, 13): "[{c}, ([{a}, p] p | <[{b}]> p)] [<{b,c}>] [<{a,b}>] q",
+            (Stratum.CORGAL, 17): "[<{a,b}>] <{a,c}, <[{b,c}]> q> p",
+        }
+        for (target, seed), text in pinned.items():
+            f = gen_formula(seed, target, 4, ("p", "q"), ("a", "b", "c"))
+            assert render_formula(f) == text, (target, seed)
 
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):
