@@ -19,10 +19,11 @@ Each operator's clause is written once, in _Root.clause: over a domain S
 and a focus F within it, it yields per extension c whose scope (c, or c
 met with the condition for the relativised operators) meets F the part
 of the scope inside F where the operator's body survives.  Truth sets
-fold it with F = S, stopping once the result is settled; evaluate_witness
-folds it with F = the point, and that one loop gives the verdict, the
-trace and the first deciding extension.  The witness for an extension X
-is its canonical decomposition R_a(X), the union of member a's widened
+fold it with F = S, stopping once the result is settled.
+evaluate_witness and evaluate_trace fold it with F = the point: the
+first stops at the first extension that decides the verdict, the second
+weighs every extension for check --trace.  The witness for an extension
+X is its canonical decomposition R_a(X), the union of member a's widened
 blocks that meet X.  Each member announces a smallest epistemic formula
 true exactly on R_a(X), found by a size-ordered search over the root
 model's truth sets; only when that search exceeds its budget does the
@@ -74,9 +75,10 @@ _Root.clause stays the one implementation of the four clauses; for a
 positive body, _quantified hands it the cells where the clause asks for
 some announcement and silence alone where it asks for every one.  That
 needs one truth set per cell instead of one per pair of option and
-response, and no cap.  evaluate_witness still weighs every extension of
-its top-level operator, so its trace and witness do not change; the
-quantifiers below it take the collapse through truth().
+response, and no cap.  evaluate_witness and evaluate_trace still weigh
+the extensions of their top-level operator, so the witness and the trace
+do not change; the quantifiers below it take the collapse through
+truth().
 
 Only [G, top] extends the fragment.  On random_model(533214, 5, 3, 2),
 whose five states are pairwise non-bisimilar, <[{a0}]> (K a2 p0 | ~p1),
@@ -87,7 +89,7 @@ operators and <G,chi> over positive bodies are not preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .formula import (
@@ -148,26 +150,12 @@ def check_symbols(model: EpistemicModel, f: Formula) -> None:
 
 
 @dataclass
-class TraceEntry:
-    operator: str
-    decomposition: str
-    verdict: bool
-
-
-@dataclass
 class WitnessReport:
     """Outcome of a quantified check, with the responsible announcement
-    when the verdict direction admits one.
-
-    `recheck` is the formula with the witness substituted for the
-    quantifier; evaluating it must yield `recheck_expected`.
-    """
+    when the verdict direction admits one; evaluate_witness has checked it."""
 
     verdict: bool
     witness: GroupKnowledgeFormula | None
-    trace: list[TraceEntry] = field(default_factory=list)
-    recheck: Formula | None = None
-    recheck_expected: bool | None = None
 
 
 class Evaluator:
@@ -405,16 +393,19 @@ def evaluate(
     return Evaluator(cap=cap).holds(model, state, f)
 
 
-def _decomposition_text(
-    model: EpistemicModel, parts: tuple[tuple[str, StateSet], ...], extension: StateSet
-) -> str:
-    target = "{" + ",".join(model.states_in(extension)) + "}"
-    if not parts:
-        return "{} -> " + target
-    return " ".join(f"{a}:{{{','.join(model.states_in(mask))}}}" for a, mask in parts) + " -> " + target
-
-
-_OPERATOR = {RelGroup: "[G,chi]", RelGroupDual: "<G,chi>", Coal: "[<G>]", CoalDual: "<[G]>"}
+def _pointed(
+    model: EpistemicModel, state: str, f: Formula, cap: int
+) -> tuple[_Root, int, bool, bool]:
+    """The set-up evaluate_witness and evaluate_trace share: the root of a
+    fresh evaluator, the point as a mask, whether the base gives the point
+    f's verdict, and whether f is a box."""
+    if not isinstance(f, _QUANTIFIED):
+        raise NotQuantified("the outermost operator is not a quantified announcement")
+    check_symbols(model, f)
+    root = _Root(model, cap)
+    point = 1 << model.state_index(state)
+    res, box = root.base(model.full, f)
+    return root, point, bool(res & point), box
 
 
 def evaluate_witness(
@@ -425,36 +416,52 @@ def evaluate_witness(
 
     A witness exists when the verdict hinges on one choice: an existential
     that succeeds, or a universal refuted by a specific announcement.
-    Vacuous verdicts (condition false at the point) carry none.  The trace
-    has one entry per distinct extension whose scope contains the point,
-    shown with its decomposition R_a(X); the first entry that decides the
-    verdict gives the witness.
+    Vacuous verdicts (condition false at the point) carry none.  The
+    extensions are weighed in evaluate_trace's order, and the first that
+    decides the verdict gives the witness; none after it is weighed.  The
+    witness is checked before it is returned: announcing it in place of
+    the quantifier, through a fresh evaluator, must replay the decision,
+    or WitnessCheckFailed is raised.
     """
-    if not isinstance(f, _QUANTIFIED):
-        raise NotQuantified("the outermost operator is not a quantified announcement")
-    check_symbols(model, f)
-    root = _Root(model, cap)
-    full = model.full
-    vbit = 1 << model.state_index(state)
-    res, box = root.base(full, f)
-    op = _OPERATOR[type(f)]
-    trace: list[TraceEntry] = []
-    deciding: tuple[tuple[str, StateSet], ...] | None = None
-    for c, _, good in root.clause(full, f, vbit):
-        parts = root.decomposition(full, f.group, c)
-        trace.append(TraceEntry(op, _decomposition_text(model, parts, c), bool(good)))
-        if deciding is None and bool(good) != box:
-            deciding = parts
-    # a deciding announcement flips the verdict the base gives the point
-    verdict = bool(res & vbit) != (deciding is not None)
+    root, point, held, box = _pointed(model, state, f, cap)
+    weighed = root.clause(model.full, f, point)
+    deciding = next((c for c, _, good in weighed if bool(good) != box), None)
     if deciding is None:
-        return WitnessReport(verdict, None, trace)
+        return WitnessReport(held, None)
 
+    witness = definable_formula(model, root.decomposition(model.full, f.group, deciding))
     # announcing the witness in place of the quantifier replays the decision
-    witness = definable_formula(model, deciding)
     den = witness.denotation()
     if isinstance(f, (RelGroup, RelGroupDual)):
         recheck = (Ann if box else AnnDual)(And(den, f.cond), f.sub)
     else:
         recheck = (RelGroupDual if box else RelGroup)(frozenset(model.agents) - f.group, den, f.sub)
-    return WitnessReport(verdict, witness, trace, recheck, not box)
+    if evaluate(model, state, recheck, cap=cap) != (not box):
+        raise WitnessCheckFailed("witness self-check failed")
+    # a deciding announcement flips the verdict the base gives the point
+    return WitnessReport(not held, witness)
+
+
+_OPERATOR = {RelGroup: "[G,chi]", RelGroupDual: "<G,chi>", Coal: "[<G>]", CoalDual: "<[G]>"}
+
+
+def evaluate_trace(
+    model: EpistemicModel, state: str, f: Formula, cap: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[bool, list[str]]:
+    """Evaluate a quantified operator and list every announcement it weighs
+    at the point: one line per distinct extension X whose scope contains
+    the point, silence first, with X's decomposition R_a(X) and whether
+    the clause holds there."""
+    root, point, held, box = _pointed(model, state, f, cap)
+
+    def names(mask: StateSet) -> str:
+        return "{" + ",".join(model.states_in(mask)) + "}"
+
+    op = _OPERATOR[type(f)]
+    lines: list[str] = []
+    decided = False
+    for c, _, good in root.clause(model.full, f, point):
+        parts = " ".join(f"{a}:{names(u)}" for a, u in root.decomposition(model.full, f.group, c))
+        lines.append(f"{op} {parts or '{}'} -> {names(c)}: {bool(good)}")
+        decided = decided or bool(good) != box
+    return held != decided, lines

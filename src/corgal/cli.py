@@ -18,6 +18,7 @@ from .checker import (
     UndeclaredSymbol,
     WitnessCheckFailed,
     evaluate,
+    evaluate_trace,
     evaluate_witness,
 )
 from .formula import Coal, CoalDual, RelGroup, RelGroupDual
@@ -110,25 +111,20 @@ def _query(args: argparse.Namespace):
 def _cmd_check(args: argparse.Namespace) -> int:
     model, state, formula = _query(args)
     if args.trace and isinstance(formula, (RelGroup, RelGroupDual, Coal, CoalDual)):
-        report = evaluate_witness(model, state, formula, cap=args.cap)
-        print("true" if report.verdict else "false")
-        for entry in report.trace:
-            print(f"{entry.operator} {entry.decomposition}: {entry.verdict}")
-        return EXIT_TRUE if report.verdict else EXIT_FALSE
-    if args.trace:
-        print("no quantified operator at the top level", file=sys.stderr)
-    verdict = evaluate(model, state, formula, cap=args.cap)
+        verdict, lines = evaluate_trace(model, state, formula, cap=args.cap)
+    else:
+        if args.trace:
+            print("no quantified operator at the top level", file=sys.stderr)
+        verdict, lines = evaluate(model, state, formula, cap=args.cap), []
     print("true" if verdict else "false")
+    for line in lines:
+        print(line)
     return EXIT_TRUE if verdict else EXIT_FALSE
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     model, state, formula = _query(args)
     report = evaluate_witness(model, state, formula, cap=args.cap)
-    if report.recheck is not None:
-        rechecked = evaluate(model, state, report.recheck, cap=args.cap)
-        if rechecked != report.recheck_expected:
-            raise WitnessCheckFailed("witness self-check failed")
     print("true" if report.verdict else "false")
     if report.witness is not None:
         print(f"witness: {render_formula(report.witness.denotation())}")

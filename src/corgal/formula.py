@@ -235,18 +235,20 @@ def _equal(f: Formula, g: Formula) -> bool:
     return True
 
 
-def _children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (Atom, Top, Bot)):
-        return ()
-    if isinstance(f, (Not, Know, Coal, CoalDual)):
-        return (f.sub,)
-    if isinstance(f, (And, Or, Imp, Iff)):
-        return (f.left, f.right)
-    if isinstance(f, (Ann, AnnDual)):
-        return (f.ann, f.sub)
-    if isinstance(f, (RelGroup, RelGroupDual)):
-        return (f.cond, f.sub)
-    raise TypeError(f"not a formula: {f!r}")
+# the fields of each node class annotated Formula (annotations are strings
+# here), in declaration order
+_SUBFORMULA_FIELDS = {
+    cls: tuple(n for n in cls.__match_args__ if cls.__annotations__[n] == "Formula")
+    for cls in Formula.__subclasses__()
+}
+
+
+def _children(f: Formula) -> list[Formula]:
+    try:
+        names = _SUBFORMULA_FIELDS[type(f)]
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
+    return [getattr(f, n) for n in names]
 
 
 def _subformulas(f: Formula) -> Iterator[Formula]:

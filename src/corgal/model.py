@@ -117,7 +117,6 @@ class EpistemicModel:
         if extra:
             raise ValueError(f"partition for undeclared agent {extra[0]!r}")
         self._blocks: dict[str, tuple[StateSet, ...]] = {}
-        self._block_of: dict[str, tuple[StateSet, ...]] = {}
         for agent in self.agents:
             blocks = []
             covered = 0
@@ -141,11 +140,6 @@ class EpistemicModel:
                 uncovered = min(self.states_in(self.full & ~covered))
                 raise ValueError(f"agent {agent!r}: partition does not cover state {uncovered!r}")
             self._blocks[agent] = tuple(blocks)
-            per_state = [0] * self.n
-            for b in blocks:
-                for i in _bits(b):
-                    per_state[i] = b
-            self._block_of[agent] = tuple(per_state)
 
         if set(valuation) != set(self.atoms):
             raise ValueError("valuation must be given for exactly the declared atoms")
@@ -177,9 +171,6 @@ class EpistemicModel:
     def blocks(self, agent: str) -> tuple[StateSet, ...]:
         return self._blocks[agent]
 
-    def block_of(self, agent: str, state_index: int) -> StateSet:
-        return self._block_of[agent][state_index]
-
     def valuation_mask(self, atom: str) -> StateSet:
         try:
             return self._val[atom]
@@ -197,15 +188,6 @@ def _bits(mask: int) -> Iterable[int]:
             yield i
         mask >>= 1
         i += 1
-
-
-def models_equal(a: EpistemicModel, b: EpistemicModel) -> bool:
-    """Equality under state-name identity (block order ignored)."""
-    if a.states != b.states or a.agents != b.agents or a.atoms != b.atoms:
-        return False
-    if any(a.valuation_mask(p) != b.valuation_mask(p) for p in a.atoms):
-        return False
-    return all(set(a.blocks(ag)) == set(b.blocks(ag)) for ag in a.agents)
 
 
 def update(model: EpistemicModel, announcement: StateSet) -> EpistemicModel:
@@ -352,8 +334,9 @@ def _class_skeleton(
     classes = rounds[-1]
     reps = [_first(c) for c in classes]
     neighbours = [
-        [[k for k, d in enumerate(classes) if d & block] for block in blocks]
-        for blocks in ([model.block_of(a, i) for a in model.agents] for i in reps)
+        [[k for k, d in enumerate(classes) if d & block]
+         for a in model.agents for block in model.blocks(a) if block >> i & 1]
+        for i in reps
     ]
     return classes, reps, neighbours, len(rounds) - 1
 
@@ -513,16 +496,6 @@ def _build_formulas(
     return {mask: build(mask) for mask in wanted}
 
 
-def agent_unions(model: EpistemicModel, agent: str) -> list[StateSet]:
-    """All non-empty unions of the agent's partition blocks.
-
-    Enumerated largest-first (the full state set, the silent announcement,
-    comes first) so that witness search is deterministic and prefers
-    silence.
-    """
-    return block_unions(model.blocks(agent))
-
-
 def block_unions(blocks: Sequence[StateSet]) -> list[StateSet]:
     """All non-empty unions of the given disjoint blocks, by subset
     bitmask (bit i = blocks[i]) descending, so the union of all comes
@@ -559,7 +532,7 @@ def choice_sets(
         raise ValueError(f"unknown agent {unknown!r} in group")
     if not members:
         return [ChoiceSet((), (), model.full)]
-    per_agent = [agent_unions(model, a) for a in members]
+    per_agent = [block_unions(model.blocks(a)) for a in members]
     total = 1
     for options in per_agent:
         total *= len(options)

@@ -21,6 +21,7 @@ from corgal import (
     RelGroup,
     RelGroupDual,
     Top,
+    EpistemicModel,
     counterexample_model,
     train_model,
 )
@@ -55,6 +56,15 @@ def _extend(children: st.SearchStrategy) -> st.SearchStrategy:
         st.builds(Coal, _groups, children),
         st.builds(CoalDual, _groups, children),
     )
+
+
+def models_equal(a: EpistemicModel, b: EpistemicModel) -> bool:
+    """Equality under state-name identity (block order ignored)."""
+    if a.states != b.states or a.agents != b.agents or a.atoms != b.atoms:
+        return False
+    if any(a.valuation_mask(p) != b.valuation_mask(p) for p in a.atoms):
+        return False
+    return all(set(a.blocks(ag)) == set(b.blocks(ag)) for ag in a.agents)
 
 
 def formulas(max_leaves: int = 12) -> st.SearchStrategy:

@@ -3,6 +3,7 @@ from functools import reduce
 
 import pytest
 
+import corgal.checker
 import corgal.cli as cli
 import corgal.model
 from corgal import (
@@ -14,6 +15,7 @@ from corgal import (
     EnumerationCapExceeded,
     EpistemicModel,
     Evaluator,
+    GroupKnowledgeFormula,
     Know,
     Not,
     NotQuantified,
@@ -28,14 +30,16 @@ from corgal import (
     definable_formula,
     evaluate,
     evaluate_coalition_alt,
+    evaluate_trace,
     evaluate_witness,
     parse_formula,
     random_model,
     render_formula,
     render_model,
     truth_set,
-    update,
 )
+from corgal.checker import WitnessCheckFailed
+from corgal.model import update
 from corgal.validity import _gen
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -193,7 +197,16 @@ class TestWitnesses:
         expected = truth_set(counterexample, parse_formula("K a q & K b top"))
         assert truth_set(counterexample, report.witness.denotation()) == expected
         assert report.witness.group == {"a", "b"}
-        assert evaluate(counterexample, "pqr", report.recheck) == report.recheck_expected
+
+    def test_witness_that_does_not_replay_the_decision_is_refused(
+        self, counterexample, monkeypatch
+    ):
+        # silence is the first extension, and it does not decide the verdict
+        f = parse_formula(f"<[{{a,b}}]> ({GOAL})")
+        silence = GroupKnowledgeFormula((("a", TOP), ("b", TOP)))
+        monkeypatch.setattr(corgal.checker, "definable_formula", lambda model, parts: silence)
+        with pytest.raises(WitnessCheckFailed, match="witness self-check failed"):
+            evaluate_witness(counterexample, "pqr", f)
 
     def test_refuted_diamond_has_no_witness(self, train):
         report = evaluate_witness(
@@ -201,7 +214,9 @@ class TestWitnesses:
         )
         assert not report.verdict
         assert report.witness is None
-        assert report.trace  # the single full-union candidate was examined
+        verdict, lines = evaluate_trace(train, "w", RelGroupDual({"c"}, TOP, Know("c", Not(p))))
+        assert not verdict
+        assert lines  # the single full-union candidate was examined
 
     def test_trivial_diamond_witnessed_by_silence(self, train, counterexample):
         for m, w in ((train, "w"), (counterexample, "pqr")):
@@ -219,12 +234,17 @@ class TestWitnesses:
         assert truth_set(train, report.witness.denotation()) == train.full
 
     def test_trace_lists_each_extension_once_silence_first(self, counterexample):
-        report = evaluate_witness(
-            counterexample, "pqr", parse_formula(f"<[{{a,b}}]> ({GOAL})")
-        )
-        targets = [entry.decomposition.split(" -> ")[1] for entry in report.trace]
+        f = parse_formula(f"<[{{a,b}}]> ({GOAL})")
+        verdict, lines = evaluate_trace(counterexample, "pqr", f)
+        assert verdict
+        targets = [line.rsplit(" -> ", 1)[1].split(": ")[0] for line in lines]
         assert len(targets) == len(set(targets)) == 8
         assert targets[0] == "{" + ",".join(counterexample.states) + "}"
+        # the witness names the first extension that decides the verdict
+        deciding = next(t for t, line in zip(targets, lines) if line.endswith(": True"))
+        witness = evaluate_witness(counterexample, "pqr", f).witness
+        got = truth_set(counterexample, witness.denotation())
+        assert "{" + ",".join(counterexample.states_in(got)) + "}" == deciding
 
     def test_vacuous_group_box_failure_has_no_witness(self, train):
         # condition is false at w, so the box fails without a refuting choice
@@ -248,11 +268,12 @@ class TestWitnesses:
                 "coaldual": CoalDual(g, body),
             }[kind]
             w = rng.choice(m.states)
+            # evaluate_witness raises WitnessCheckFailed unless the witness
+            # replays the verdict
             report = evaluate_witness(m, w, f)
             assert report.verdict == evaluate(m, w, f)
             if report.witness is not None:
                 checked += 1
-                assert evaluate(m, w, report.recheck) == report.recheck_expected
         assert checked > 10
 
     def test_budget_fallback_is_the_characteristic_formula_witness(
@@ -271,12 +292,13 @@ class TestWitnesses:
             report = evaluate_witness(m, w, f)
             monkeypatch.undo()
             assert report.verdict == smallest.verdict
-            assert report.trace == smallest.trace
             if report.witness is None:
                 assert smallest.witness is None
                 continue
             fallbacks += 1
-            assert evaluate(m, w, report.recheck) == report.recheck_expected
+            # both announce the same extension, and both passed the self-check
+            got = truth_set(m, report.witness.denotation())
+            assert got == truth_set(m, smallest.witness.denotation())
             # the same decomposition, realised through characteristic formulas
             quotient, mapping = contract(m)
 
@@ -301,8 +323,7 @@ class TestWitnesses:
         m = random_model(3, 20, 3, 1)
         f = parse_formula("<{a0}, top> (K a1 p0 | K a2 ~p0)")
         report = evaluate_witness(m, "s0", f)
-        assert report.verdict and report.witness is not None
-        assert evaluate(m, "s0", report.recheck) == report.recheck_expected
+        assert report.verdict and report.witness is not None  # and self-checked
         quotient, _ = contract(m)
         chars = characteristic_formulas(m)
         for _, body in report.witness.bindings:

@@ -8,10 +8,9 @@ from pathlib import Path
 import pytest
 
 import corgal
-from corgal import (
-    COUNTEREXAMPLE_DOCUMENT, TRAIN_DOCUMENT, parse_formula, parse_model, models_equal,
-)
+from corgal import COUNTEREXAMPLE_DOCUMENT, TRAIN_DOCUMENT, parse_formula, parse_model
 from corgal.cli import main
+from conftest import models_equal
 from corgal.parser import MAX_NESTING
 
 GOAL = "K b (p & q & r) & ~K a (p & q & r) & ~K c (p & q & r)"
@@ -85,12 +84,22 @@ class TestCheck:
         assert code == 0
 
     def test_trace(self, counter_path, capsys):
+        # the eight extensions of {a,b} that contain pqr, silence first;
+        # the fifth, "a knows q", is the witness
         code = main(["check", "--model", counter_path, "--state", "pqr", "--trace",
                      "--formula", f"<[{{a,b}}]> ({GOAL})"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert out.startswith("true")
-        assert "<[G]>" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "true",
+            "<[G]> a:{pqr,pq,qr,pr} b:{pqr,pq,qr,pr} -> {pqr,pq,qr,pr}: False",
+            "<[G]> a:{pqr,qr,pr} b:{pqr,qr,pr} -> {pqr,qr,pr}: False",
+            "<[G]> a:{pqr,pq,qr,pr} b:{pqr,pq,pr} -> {pqr,pq,pr}: False",
+            "<[G]> a:{pqr,qr,pr} b:{pqr,pr} -> {pqr,pr}: False",
+            "<[G]> a:{pqr,pq,qr} b:{pqr,pq,qr,pr} -> {pqr,pq,qr}: True",
+            "<[G]> a:{pqr,qr} b:{pqr,qr,pr} -> {pqr,qr}: True",
+            "<[G]> a:{pqr,pq,qr} b:{pqr,pq,pr} -> {pqr,pq}: False",
+            "<[G]> a:{pqr,qr} b:{pqr,pr} -> {pqr}: False",
+        ]
 
     def test_formula_from_stdin(self, train_path, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("K a ~p"))
@@ -193,10 +202,17 @@ class TestInternalErrors:
         assert "RuntimeError: boom" in err and "internal error" in err
 
     def test_failed_witness_self_check_exits_5(self, counter_path, capsys, monkeypatch):
-        monkeypatch.setattr("corgal.cli.evaluate", lambda *args, **kwargs: None)
+        # the self-check inside evaluate_witness replays the witness through
+        # the checker's evaluate
+        monkeypatch.setattr("corgal.checker.evaluate", lambda *args, **kwargs: None)
         code = main(["witness", "--model", counter_path, "--state", "pqr",
                      "--formula", f"<[{{a,b}}]> ({GOAL})"])
         assert code == 5
+        assert "witness self-check failed" in capsys.readouterr().err
+
+    def test_failed_witness_self_check_in_a_suite_exits_5(self, capsys, monkeypatch):
+        monkeypatch.setattr("corgal.checker.evaluate", lambda *args, **kwargs: None)
+        assert main(["suite", "repro"]) == 5
         assert "witness self-check failed" in capsys.readouterr().err
 
 

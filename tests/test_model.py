@@ -14,22 +14,19 @@ from corgal import (
     Or,
     Stratum,
     TOP,
-    agent_unions,
     characteristic_formulas,
-    choice_sets,
     contract,
     definable_formula,
     evaluate,
-    models_equal,
     parse_model,
     random_model,
     smallest_formulas,
     stratum,
     truth_set,
-    update,
 )
-from corgal.model import characteristic_size, refinement
+from corgal.model import block_unions, characteristic_size, choice_sets, refinement, update
 from corgal.validity import enumerate_small_models
+from conftest import models_equal
 from test_differential import doubled_models
 
 
@@ -159,8 +156,8 @@ def signature_rounds(m: EpistemicModel, domain: int) -> list[list[int]]:
     while True:
         step = {
             i: (labels[i], tuple(
-                frozenset(labels[j] for j in states if m.block_of(a, i) >> j & 1)
-                for a in m.agents
+                frozenset(labels[j] for j in states if block >> j & 1)
+                for a in m.agents for block in m.blocks(a) if block >> i & 1
             ))
             for i in states
         }
@@ -253,20 +250,21 @@ def _has_no_knowledge(f):
 
 
 class TestAgentUnions:
+    # the unions of one agent's blocks, which choice_sets() combines
     def test_counts(self, counterexample):
-        assert len(agent_unions(counterexample, "c")) == 3
-        assert len(agent_unions(counterexample, "a")) == 7
+        assert len(block_unions(counterexample.blocks("c"))) == 3
+        assert len(block_unions(counterexample.blocks("a"))) == 7
 
     def test_silence_comes_first(self, counterexample):
         for agent in counterexample.agents:
-            unions = agent_unions(counterexample, agent)
+            unions = block_unions(counterexample.blocks(agent))
             assert unions[0] == counterexample.full
 
     def test_unions_are_distinct(self):
         for seed in range(10):
             m = random_model(seed, 5, 2, 2)
             for agent in m.agents:
-                unions = agent_unions(m, agent)
+                unions = block_unions(m.blocks(agent))
                 assert len(set(unions)) == len(unions)
 
 
@@ -281,7 +279,7 @@ class TestChoiceSets:
 
     def test_singleton_group_matches_agent_unions(self, counterexample):
         sets = choice_sets(counterexample, {"a"})
-        assert [c.extension for c in sets] == agent_unions(counterexample, "a")
+        assert [c.extension for c in sets] == block_unions(counterexample.blocks("a"))
 
     def test_extension_is_the_intersection(self, counterexample):
         for c in choice_sets(counterexample, {"a", "c"}):
@@ -460,7 +458,7 @@ class TestCharacteristicSize:
         checked = 0
         for m in models:
             for a in m.agents:
-                for u in agent_unions(m, a)[:8]:
+                for u in block_unions(m.blocks(a))[:8]:
                     body = definable_formula(m, ((a, u),)).bindings[0][1]
                     assert characteristic_size(m, [u]) == tree_size(body)
                     checked += 1

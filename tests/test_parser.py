@@ -27,7 +27,6 @@ from corgal import (
     TRAIN_DOCUMENT,
     COUNTEREXAMPLE_DOCUMENT,
     contract,
-    models_equal,
     parse_formula,
     parse_model,
     parse_model_document,
@@ -38,7 +37,7 @@ from corgal import (
 from corgal.cli import main
 from corgal.parser import MAX_NESTING
 
-from conftest import formulas
+from conftest import formulas, models_equal
 
 p = Atom("p")
 q = Atom("q")
