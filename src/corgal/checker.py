@@ -10,7 +10,7 @@ memoised on the nodes, so a key costs O(1) to hash.
 The quantified operators range over the joint announcements of a group.
 Their truth sets in M|S are the intersections, over the members, of
 unions of each member's blocks widened to whole bisimulation classes of
-M|S (model.widened_blocks, cached per S).  Each distinct such
+M|S (model.refinement, cached per S).  Each distinct such
 intersection, an extension, is enumerated once, S itself first so that
 silence is the first candidate.  Extensions are unions of bisimulation
 classes, so the operator's clause yields a mask over S directly.
@@ -110,8 +110,7 @@ from .formula import (
     RelGroup,
     RelGroupDual,
     Top,
-    agents_in,
-    atoms_in,
+    _collect,
     positive,
 )
 from .model import (
@@ -121,7 +120,7 @@ from .model import (
     StateSet,
     block_unions,
     definable_formula,
-    widened_blocks,
+    refinement,
 )
 
 
@@ -141,10 +140,13 @@ _QUANTIFIED = (RelGroup, RelGroupDual, Coal, CoalDual)
 
 
 def check_symbols(model: EpistemicModel, f: Formula) -> None:
-    unknown_agents = agents_in(f) - set(model.agents)
+    agents: set[str] = set()
+    atoms: set[str] = set()
+    _collect(f, agents, atoms)
+    unknown_agents = agents - set(model.agents)
     if unknown_agents:
         raise UndeclaredSymbol(f"unknown agent {sorted(unknown_agents)[0]!r}")
-    unknown_atoms = atoms_in(f) - set(model.atoms)
+    unknown_atoms = atoms - set(model.atoms)
     if unknown_atoms:
         raise UndeclaredSymbol(f"unknown atom {sorted(unknown_atoms)[0]!r}")
 
@@ -246,10 +248,10 @@ class _Root:
 
     def saturated(self, domain: StateSet) -> dict[str, tuple[StateSet, ...]]:
         """Each agent's blocks of M|domain widened to whole bisimulation
-        classes of M|domain, in no fixed order."""
+        classes of M|domain, in the order refinement() split them."""
         hit = self._saturated.get(domain)
         if hit is None:
-            hit = self._saturated[domain] = widened_blocks(self.model, domain)
+            hit = self._saturated[domain] = refinement(self.model, domain)[1]
         return hit
 
     def extensions(self, domain: StateSet, group: frozenset[str]) -> list[StateSet]:

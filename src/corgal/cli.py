@@ -21,9 +21,11 @@ from .checker import (
     evaluate_trace,
     evaluate_witness,
 )
-from .formula import Coal, CoalDual, RelGroup, RelGroupDual
+from .formula import Coal, CoalDual, RelGroup, RelGroupDual, height
 from .model import DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded, contract
 from .parser import (
+    MAX_NESTING,
+    TOO_DEEP,
     ModelError,
     ParseError,
     parse_formula,
@@ -152,8 +154,11 @@ def _cmd_contract(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
-    formula = parse_formula(_formula_text(args))
-    print(render_formula(pal_to_el(formula)))
+    translated = pal_to_el(parse_formula(_formula_text(args)))
+    # print only what check can parse back
+    if height(translated) > MAX_NESTING:
+        raise ValueError(TOO_DEEP)
+    print(render_formula(translated))
     return EXIT_TRUE
 
 

@@ -10,7 +10,8 @@ measures plus the well-founded order driving the harness are those of
 the desugared formula.  They are computed on the formula itself, without
 building the desugared tree, and kept on each node, as its hash is; so
 is membership in the positive fragment (positive()), over which the
-checker's quantifiers enumerate nothing.  Leaves are interned:
+checker's quantifiers enumerate nothing, and the tree's height
+(height()), which the parser bounds.  Leaves are interned:
 Atom(name) returns one object per name, and Top() and Bot() return TOP
 and BOT.
 """
@@ -49,6 +50,7 @@ class Formula:
     _hash = None
     _measure = None
     _positive = None
+    _height = None
 
     def __hash__(self) -> int:
         value = self._hash
@@ -303,6 +305,22 @@ def positive(f: Formula) -> bool:
             value = t is Atom or t is Top or t is Bot or (t is Not and type(g.sub) is Atom)
         object.__setattr__(g, "_positive", value)
     return f._positive
+
+
+def height(f: Formula) -> int:
+    """Height of f's tree: 0 for a leaf, else one more than its highest
+    subformula.  Kept on each node, and computed without recursion."""
+    stack = [f]
+    while f._height is None:
+        g = stack[-1]
+        parts = _children(g)
+        pending = [h for h in parts if h._height is None]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        object.__setattr__(g, "_height", 1 + max([h._height for h in parts], default=-1))
+    return f._height
 
 
 def desugar(f: Formula) -> Formula:

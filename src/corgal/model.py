@@ -5,19 +5,20 @@ States are indexed and state sets are bitmasks (bit i = state i), which
 keeps announcement updates and the choice-set enumeration cheap.
 Bisimulation classes are computed in one place, refinement(): partition
 refinement on masks over any restriction M|S, which gives the classes of
-every round and each agent's blocks widened to the final classes.  Every
-restriction starts from the model's valuation partition, computed once
-and kept on the model, as is the refinement of the whole model.  The
-refinement stops as soon as every state is its own class: distinct
-blocks meet disjoint singleton classes, so no region merges blocks and
-no class splits, and the widened blocks are the blocks themselves.  The
-checker's quantifiers (through widened_blocks(), which leaves the rounds
-and blocks unordered), contract(), characteristic_formulas() and
-characteristic_size() all use it; the last two share one recurrence over
-the final classes, so neither needs a contracted model.  A choice set is
-one union of equivalence classes per group member; on a
-bisimulation-contracted model these are exactly the truth sets of the
-joint announcements the group operators quantify over.
+every round and each agent's blocks widened to the final classes, in the
+order it split them.  Every restriction starts from the model's valuation
+partition, computed once and kept on the model, as is the refinement of
+the whole model.  The refinement stops as soon as every state is its own
+class: distinct blocks meet disjoint singleton classes, so no region
+merges blocks and no class splits, and the widened blocks are the blocks
+themselves.  The checker's quantifiers read it directly and fix their own
+order.  _quotient() is the one derivation of the whole model's quotient
+from it, classes and quotient blocks ordered by lowest state, and
+contract(), characteristic_formulas() and characteristic_size() read it;
+the last two follow one recurrence over the classes, so neither needs a
+contracted model.  A choice set is one union of equivalence classes per
+group member; on a bisimulation-contracted model these are exactly the
+truth sets of the joint announcements the group operators quantify over.
 definable_formula() turns the members' unions, given as (agent, mask)
 pairs, back into a concrete announcement on any model: a smallest
 epistemic formula per union from smallest_formulas(), or, once that
@@ -215,11 +216,12 @@ def refinement(
 
     Returns the classes of every round and each agent's blocks of
     M|domain widened to whole final classes (the blocks of the contracted
-    M|domain, pulled back; one agent's stay disjoint), all ordered by
-    their lowest state.  Round 0 is the model's valuation partition
-    restricted to domain; a round splits states whose blocks meet
-    different classes of the round before, for all agents at once, so the
-    number of rounds is the depth the characteristic formulas need.
+    M|domain, pulled back; one agent's stay disjoint), all in the order
+    the refinement split them; nothing is sorted.  Round 0 is the model's
+    valuation partition restricted to domain; a round splits states whose
+    blocks meet different classes of the round before, for all agents at
+    once, so the number of rounds is the depth the characteristic
+    formulas need.
 
     Refinement stops once every state is its own class.  A discrete
     partition is stable and its widened blocks are the agents' blocks
@@ -231,28 +233,6 @@ def refinement(
     """
     if domain == model.full and model._refined is not None:
         return model._refined
-    rounds, widened = _refine(model, domain)
-    result = (
-        [sorted(r, key=_first) for r in rounds],
-        {a: tuple(sorted(w, key=_first)) for a, w in widened.items()},
-    )
-    if domain == model.full:
-        model._refined = result
-    return result
-
-
-def widened_blocks(model: EpistemicModel, domain: StateSet) -> dict[str, tuple[StateSet, ...]]:
-    """refinement(model, domain)[1], unordered below the whole model."""
-    if domain == model.full:
-        return refinement(model, domain)[1]
-    return _refine(model, domain)[1]
-
-
-def _refine(
-    model: EpistemicModel, domain: StateSet
-) -> tuple[list[list[StateSet]], dict[str, tuple[StateSet, ...]]]:
-    """refinement() with its rounds and blocks in the order they were
-    split."""
     classes = [part for c in _valuation_partition(model) if (part := c & domain)]
     rounds = [classes]
     blocks = [[b & domain for b in model.blocks(a) if b & domain] for a in model.agents]
@@ -276,11 +256,13 @@ def _refine(
         classes = refined
         rounds.append(classes)
     else:
-        # discrete: each block is its own region (see refinement)
+        # discrete: each block is its own region (see above)
         regions_by_agent = blocks
     # on stable classes each region is the union of the classes its blocks meet
-    widened = {a: tuple(regions) for a, regions in zip(model.agents, regions_by_agent)}
-    return rounds, widened
+    result = rounds, {a: tuple(regions) for a, regions in zip(model.agents, regions_by_agent)}
+    if domain == model.full:
+        model._refined = result
+    return result
 
 
 def _valuation_partition(model: EpistemicModel) -> list[StateSet]:
@@ -299,46 +281,48 @@ def _first(mask: StateSet) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _quotient(model: EpistemicModel) -> tuple[list[StateSet], dict[str, list[list[int]]], int]:
+    """The quotient of the whole model by refinement(model, model.full):
+    the final classes ordered by lowest state, each agent's quotient
+    blocks as lists of class indices ordered by lowest state, and the
+    number of rounds after round 0.  contract(), characteristic_formulas()
+    and characteristic_size() read it, so it fixes their order."""
+    rounds, widened = refinement(model, model.full)
+    classes = sorted(rounds[-1], key=lambda c: c & -c)
+    blocks = {}
+    for a in model.agents:
+        # each class joins the widened block holding it, so the blocks
+        # come in the order of their lowest classes
+        members: dict[StateSet, list[int]] = {}
+        for k, c in enumerate(classes):
+            for w in widened[a]:
+                if w & c:
+                    members.setdefault(w, []).append(k)
+                    break
+        blocks[a] = list(members.values())
+    return classes, blocks, len(rounds) - 1
+
+
 def contract(model: EpistemicModel) -> tuple[EpistemicModel, dict[str, str]]:
     """Quotient by the largest bisimulation, via partition refinement.
 
     Returns the quotient model and the surjection old state -> quotient
-    state.  Quotient states are named after the first member of each class.
+    state.  Quotient states are named after the first member of each
+    class, and they and the quotient blocks are ordered by lowest state.
     """
-    rounds, widened = refinement(model, model.full)
-    classes = rounds[-1]
+    classes, blocks, _ = _quotient(model)
     names = [model.states[_first(c)] for c in classes]
     name_of = [""] * model.n
     for c, name in zip(classes, names):
         for i in _bits(c):
             name_of[i] = name
-
-    def names_in(mask: StateSet) -> list[str]:
-        return [name for c, name in zip(classes, names) if c & mask]
-
-    partitions = {a: [names_in(w) for w in widened[a]] for a in model.agents}
-    valuation = {atom: names_in(model.valuation_mask(atom)) for atom in model.atoms}
+    partitions = {a: [[names[k] for k in b] for b in blocks[a]] for a in model.agents}
+    valuation = {}
+    for atom in model.atoms:
+        v = model.valuation_mask(atom)
+        valuation[atom] = [name for c, name in zip(classes, names) if c & v]
     quotient = EpistemicModel(names, model.agents, model.atoms, partitions, valuation)
     return quotient, dict(zip(model.states, name_of))
-
-
-def _class_skeleton(
-    model: EpistemicModel,
-) -> tuple[list[StateSet], list[int], list[list[list[int]]], int]:
-    """The final classes of refinement(model, model.full), their lowest
-    states, each class's neighbours per agent (the classes its lowest
-    state's block meets, by index) and the number of rounds after round 0:
-    the recurrence that characteristic_formulas() builds and
-    characteristic_size() counts."""
-    rounds, _ = refinement(model, model.full)
-    classes = rounds[-1]
-    reps = [_first(c) for c in classes]
-    neighbours = [
-        [[k for k, d in enumerate(classes) if d & block]
-         for a in model.agents for block in model.blocks(a) if block >> i & 1]
-        for i in reps
-    ]
-    return classes, reps, neighbours, len(rounds) - 1
 
 
 def characteristic_formulas(model: EpistemicModel) -> dict[str, Formula]:
@@ -349,27 +333,27 @@ def characteristic_formulas(model: EpistemicModel) -> dict[str, Formula]:
     which round-k descriptions are considered possible and that nothing
     else is.  The number of rounds equals the number of refinement steps
     the model needs, so the formulas are as shallow as the model allows.
+    Disjunctions and conjunctions list classes by lowest state.
     """
-    classes, reps, neighbours, depth = _class_skeleton(model)
+    classes, blocks, depth = _quotient(model)
 
-    def describe(i: int) -> Formula:
-        lits = [
-            Atom(p) if model.valuation_mask(p) >> i & 1 else Not(Atom(p))
-            for p in model.atoms
-        ]
+    def describe(c: StateSet) -> Formula:
+        lits = [Atom(p) if model.valuation_mask(p) & c else Not(Atom(p)) for p in model.atoms]
         return reduce(And, lits) if lits else TOP
 
-    valuations = [describe(i) for i in reps]
+    valuations = [describe(c) for c in classes]
     current = valuations
     for _ in range(depth):
         previous = current
-        current = []
-        for c, per_agent in enumerate(neighbours):
-            parts = [valuations[c]]
-            for agent, ks in zip(model.agents, per_agent):
-                parts += [Not(Know(agent, Not(previous[k]))) for k in ks]
-                parts.append(Know(agent, reduce(Or, [previous[k] for k in ks])))
-            current.append(reduce(And, parts))
+        parts = [[v] for v in valuations]
+        for agent in model.agents:
+            for b in blocks[agent]:
+                # every class of the block gets the same parts
+                shared = [Not(Know(agent, Not(previous[k]))) for k in b]
+                shared.append(Know(agent, reduce(Or, [previous[k] for k in b])))
+                for k in b:
+                    parts[k] += shared
+        current = [reduce(And, p) for p in parts]
     class_of = {i: k for k, c in enumerate(classes) for i in _bits(c)}
     return {s: current[class_of[i]] for i, s in enumerate(model.states)}
 
@@ -378,26 +362,25 @@ def characteristic_size(model: EpistemicModel, targets: Iterable[StateSet]) -> i
     """Tree nodes of the characteristic-formula disjunctions that define
     the targets (unions of bisimulation classes), the bodies
     definable_formula() falls back to, counted without building them."""
-    classes, reps, neighbours, depth = _class_skeleton(model)
+    classes, blocks, depth = _quotient(model)
     n_atoms = len(model.atoms)
     # round 0: one literal per atom (~p has two nodes), joined by &
     describe = [
-        sum(1 if model.valuation_mask(p) >> i & 1 else 2 for p in model.atoms) + n_atoms - 1
+        sum(1 if model.valuation_mask(p) & c else 2 for p in model.atoms) + n_atoms - 1
         if n_atoms else 1
-        for i in reps
+        for c in classes
     ]
     size = describe
     for _ in range(depth):
         previous = size
-        size = []
-        for c, per_agent in enumerate(neighbours):
-            total, parts = describe[c], 1
-            for ks in per_agent:
-                # ~K a ~f (f + 3 nodes) per neighbour f, then K a of their
-                # disjunction (the sum plus one node per neighbour)
-                total += 2 * sum([previous[k] for k in ks]) + 4 * len(ks)
-                parts += len(ks) + 1
-            size.append(total + parts - 1)
+        size = list(describe)
+        for agent_blocks in blocks.values():
+            for b in agent_blocks:
+                # ~K a ~f (f + 3 nodes) per member f, K a of their disjunction
+                # (the sum plus one node per member), and one & per part added
+                grown = 2 * sum([previous[k] for k in b]) + 5 * len(b) + 1
+                for k in b:
+                    size[k] += grown
     nodes = 0
     for mask in targets:
         covered = [s for c, s in zip(classes, size) if c & mask]

@@ -38,6 +38,7 @@ from .formula import (
     RelGroupDual,
     Top,
     TOP,
+    height,
 )
 from .model import EpistemicModel
 
@@ -50,6 +51,7 @@ RESERVED = frozenset({"top", "bot"})
 # walks over formulas recurse once or a few times per level, and this
 # bound keeps them well inside Python's default recursion limit.
 MAX_NESTING = 100
+TOO_DEEP = f"formula nests deeper than {MAX_NESTING} levels"
 
 _SYMBOLS = ("<->", "->", "[", "]", "<", ">", "{", "}", "(", ")", ",", "~", "&", "|", "!")
 
@@ -135,8 +137,6 @@ class _Parser:
         self.tokens = _lex(text)
         self.pos = 0
         self.nesting = 0
-        # the height of each node built so far, by identity; leaves have 0
-        self.heights: dict[int, int] = {}
 
     def _peek(self, ahead: int = 0) -> _Token | None:
         i = self.pos + ahead
@@ -172,15 +172,13 @@ class _Parser:
         return tok is not None and tok.text == text
 
     def _too_deep(self, tok: _Token) -> ParseError:
-        return ParseError(f"formula nests deeper than {MAX_NESTING} levels", tok.line, tok.column)
+        return ParseError(TOO_DEEP, tok.line, tok.column)
 
     def _build(self, tok: _Token, op: type[Formula], *fields: object) -> Formula:
         """op(*fields), unless the tree would grow higher than MAX_NESTING."""
-        height = 1 + max(self.heights.get(id(x), 0) for x in fields if isinstance(x, Formula))
-        if height > MAX_NESTING:
-            raise self._too_deep(tok)
         f = op(*fields)
-        self.heights[id(f)] = height
+        if height(f) > MAX_NESTING:
+            raise self._too_deep(tok)
         return f
 
     def parse(self) -> Formula:

@@ -85,7 +85,7 @@ class SuiteConfig:
     seed: int = 0
     model_count: int = 500
     max_states: int = 5
-    enumeration_cap: int = 10**6
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self) -> None:
         if self.model_count < 0:
@@ -513,10 +513,12 @@ def _witness_through_form(
         body_inst = nf_instantiate(nf.body, inner)
         point = 1 << model.state_index(state)
         block = next(b for b in model.blocks(nf.agent) if b & point)
-        for name in model.states_in(block):
-            if not ev.holds(model, name, body_inst):
-                return _witness_through_form(ev, model, name, nf.body, inner)
-        raise AssertionError("knowledge context was not actually refuted")
+        failing = block & ~ev.truth_set(model, body_inst)
+        if not failing:
+            raise AssertionError("knowledge context was not actually refuted")
+        # the lowest failing state of the block
+        name = model.states_in(failing & -failing)[0]
+        return _witness_through_form(ev, model, name, nf.body, inner)
     if isinstance(nf, NfAnn):
         submodel = update(model, ev.truth_set(model, nf.ann))
         return _witness_through_form(ev, submodel, state, nf.body, inner)

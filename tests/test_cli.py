@@ -8,10 +8,19 @@ from pathlib import Path
 import pytest
 
 import corgal
-from corgal import COUNTEREXAMPLE_DOCUMENT, TRAIN_DOCUMENT, parse_formula, parse_model
+from corgal import (
+    COUNTEREXAMPLE_DOCUMENT,
+    TRAIN_DOCUMENT,
+    Stratum,
+    pal_to_el,
+    parse_formula,
+    parse_model,
+    render_formula,
+)
 from corgal.cli import main
 from conftest import models_equal
 from corgal.parser import MAX_NESTING
+from corgal.validity import gen_formula
 
 GOAL = "K b (p & q & r) & ~K a (p & q & r) & ~K c (p & q & r)"
 
@@ -243,6 +252,72 @@ class TestContract:
 
         assert models_equal(parse_model(out.read_text()), counterexample_model())
 
+    def test_merged_quotient_prints_by_lowest_state(self, tmp_path, capsys):
+        # s2 merges into s0 and s5 into s3; a1's blocks {s0,s5} and {s2,s3}
+        # widen into one quotient block
+        src = tmp_path / "merged.model"
+        src.write_text(corgal.render_model(corgal.random_model(1, 6, 2, 1)))
+        code = main(["contract", "--model", str(src)])
+        assert (code, *capsys.readouterr()) == (0, MERGED_QUOTIENT, MERGED_MAP)
+
+
+MERGED_QUOTIENT = """\
+{
+  "agents": [
+    "a0",
+    "a1"
+  ],
+  "atoms": [
+    "p0"
+  ],
+  "states": [
+    "s0",
+    "s1",
+    "s3",
+    "s4"
+  ],
+  "valuation": {
+    "s0": [
+      "p0"
+    ],
+    "s1": [],
+    "s3": [],
+    "s4": []
+  },
+  "partitions": {
+    "a0": [
+      [
+        "s0",
+        "s4"
+      ],
+      [
+        "s1",
+        "s3"
+      ]
+    ],
+    "a1": [
+      [
+        "s0",
+        "s3"
+      ],
+      [
+        "s1",
+        "s4"
+      ]
+    ]
+  }
+}
+"""
+
+MERGED_MAP = """\
+s0 -> s0
+s1 -> s1
+s2 -> s0
+s3 -> s3
+s4 -> s4
+s5 -> s3
+"""
+
 
 class TestTranslate:
     def test_example(self, capsys):
@@ -253,6 +328,22 @@ class TestTranslate:
     def test_group_operator_rejected(self, capsys):
         code = main(["translate", "--formula", "[{a}] p"])
         assert code == 2
+
+    def test_translation_higher_than_the_bound_is_an_input_error(self, capsys):
+        # the input has height 61; each K under the announcement gains an
+        # implication, so the translation is higher than the parser reads
+        code = main(["translate", "--formula", "[! p] " + "K a " * 60 + "q"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "nests deeper" in err
+
+    @pytest.mark.parametrize("text", ["[! p] K a p"] + [
+        render_formula(gen_formula(seed, Stratum.PAL, 5, ("p", "q"), ("a", "b")))
+        for seed in range(10)
+    ], ids=["example"] + [f"gen-{seed}" for seed in range(10)])
+    def test_output_parses_back(self, capsys, text):
+        assert main(["translate", "--formula", text]) == 0
+        assert parse_formula(capsys.readouterr().out) == pal_to_el(parse_formula(text))
 
 
 class TestSuite:

@@ -45,7 +45,7 @@ from corgal import (
     size,
     stratum,
 )
-from corgal.formula import _measure, agents_in, atoms_in, hole_count
+from corgal.formula import _measure, agents_in, atoms_in, height, hole_count
 from corgal.validity import _gen
 
 from conftest import el_formulas, formulas
@@ -104,6 +104,26 @@ class TestPositive:
             f = And(Know("a", f), q)
         assert positive(f)
         assert not positive(Or(Not(f), p))
+
+
+class TestHeight:
+    @pytest.mark.parametrize("text, expected", [
+        ("p", 0), ("top", 0), ("~p", 1), ("K a ~p", 2), ("p & q & r", 2),
+        ("[! p & q] K a r", 2), ("[{a}, top] (p | ~q)", 3), ("<[{a}]> ~~p", 3),
+    ])
+    def test_examples(self, text, expected):
+        assert height(parse_formula(text)) == expected
+
+    def test_kept_on_every_node(self):
+        f = parse_formula("K a p & ~q")
+        assert height(f) == 2
+        assert (f._height, f.left._height, f.right._height) == (2, 1, 1)
+
+    def test_long_chain_needs_no_recursion(self):
+        f = p
+        for _ in range(5000):
+            f = And(Know("a", f), q)
+        assert height(f) == 10_000
 
 
 class TestDesugar:
@@ -360,6 +380,9 @@ class TestSharedSubterms:
         f = self.dag()
         assert agents_in(f) == {"a"}
         assert atoms_in(f) == {"p"}
+
+    def test_height(self):
+        assert height(self.dag()) == 41
 
     def test_hash_and_equality(self):
         assert hash(self.dag()) == hash(self.dag())

@@ -187,11 +187,14 @@ class TestRefinement:
         for m in models:
             for domain in range(1, m.full + 1):
                 rounds, widened = refinement(m, domain)
-                assert rounds == signature_rounds(m, domain), (m, domain)
+                # refinement() keeps the order it splits in; compare as sorted
+                assert [sorted(r) for r in rounds] == [
+                    sorted(r) for r in signature_rounds(m, domain)
+                ], (m, domain)
                 for a in m.agents:
                     blocks = [b & domain for b in m.blocks(a) if b & domain]
                     expected = {sum(c for c in rounds[-1] if c & b) for b in blocks}
-                    assert widened[a] == tuple(sorted(expected, key=lambda u: u & -u))
+                    assert sorted(widened[a]) == sorted(expected)
                 if len(rounds[-1]) < domain.bit_count():
                     exits["stable"] += 1
                 else:
