@@ -12,15 +12,10 @@ from .formula import (
     CoalDual,
     Formula,
     GroupKnowledgeFormula,
-    Hole,
-    HOLE,
     Iff,
     Imp,
     Know,
     NecessityForm,
-    NfAnn,
-    NfImp,
-    NfKnow,
     Not,
     Or,
     RelGroup,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 class Stratum(enum.IntEnum):
@@ -459,70 +459,17 @@ class GroupKnowledgeFormula:
         return str(self.denotation())
 
 
-@dataclass(frozen=True)
-class NecessityForm:
-    """Context with a unique hole, built from implications, knowledge and
-    announcement boxes."""
-
-
-@dataclass(frozen=True)
-class Hole(NecessityForm):
-    pass
-
-
-@dataclass(frozen=True)
-class NfImp(NecessityForm):
-    ante: Formula
-    body: NecessityForm
-
-
-@dataclass(frozen=True)
-class NfKnow(NecessityForm):
-    agent: str
-    body: NecessityForm
-
-
-@dataclass(frozen=True)
-class NfAnn(NecessityForm):
-    ann: Formula
-    body: NecessityForm
-
-
-HOLE = Hole()
+# A context with one hole, as frames outermost first: (Imp, antecedent),
+# (Know, agent) or (Ann, announcement), each a constructor and the argument it
+# fixes before the hole. () is the bare hole.
+NecessityForm = tuple[tuple[Callable[..., Formula], object], ...]
 
 
 def nf_instantiate(nf: NecessityForm, f: Formula) -> Formula:
     """Replace the hole with f, keeping the surrounding context."""
-    if isinstance(nf, Hole):
-        return f
-    if isinstance(nf, NfImp):
-        return Imp(nf.ante, nf_instantiate(nf.body, f))
-    if isinstance(nf, NfKnow):
-        return Know(nf.agent, nf_instantiate(nf.body, f))
-    if isinstance(nf, NfAnn):
-        return Ann(nf.ann, nf_instantiate(nf.body, f))
-    raise TypeError(f"not a necessity form: {nf!r}")
-
-
-def hole_count(nf: NecessityForm) -> int:
-    if isinstance(nf, Hole):
-        return 1
-    if isinstance(nf, (NfImp, NfKnow, NfAnn)):
-        return hole_count(nf.body)
-    raise TypeError(f"not a necessity form: {nf!r}")
-
-
-def agents_in(f: Formula) -> frozenset[str]:
-    """All agent names occurring in f, group members included."""
-    out: set[str] = set()
-    _collect(f, out, set())
-    return frozenset(out)
-
-
-def atoms_in(f: Formula) -> frozenset[str]:
-    out: set[str] = set()
-    _collect(f, set(), out)
-    return frozenset(out)
+    for op, arg in reversed(nf):
+        f = op(arg, f)
+    return f
 
 
 def _collect(f: Formula, agents: set[str], atoms: set[str]) -> None:

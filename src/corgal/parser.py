@@ -383,6 +383,8 @@ def parse_model_document(text: str) -> ModelDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"line {exc.lineno}, column {exc.colno}: not valid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ModelError("JSON nests too deeply to read") from exc
     if not isinstance(raw, dict):
         raise ModelError("model document must be a JSON object")
     required = ("agents", "atoms", "states", "valuation", "partitions")

@@ -36,15 +36,10 @@ from .formula import (
     CoalDual,
     Formula,
     GroupKnowledgeFormula,
-    Hole,
-    HOLE,
     Iff,
     Imp,
     Know,
     NecessityForm,
-    NfAnn,
-    NfImp,
-    NfKnow,
     Not,
     Or,
     RelGroup,
@@ -230,16 +225,16 @@ def _gen_nf(
     agents: tuple[str, ...],
 ) -> NecessityForm:
     if depth <= 0:
-        return HOLE
+        return ()
     kind = rng.choice(("hole", "imp", "know", "ann"))
     if kind == "hole":
-        return HOLE
+        return ()
+    # the inner frames are drawn before this frame's own argument
     body = _gen_nf(rng, depth - 1, atoms, agents)
-    if kind == "imp":
-        return NfImp(_gen(rng, Stratum.PAL, 2, atoms, agents), body)
     if kind == "know":
-        return NfKnow(rng.choice(agents), body)
-    return NfAnn(_gen(rng, Stratum.PAL, 2, atoms, agents), body)
+        return ((Know, rng.choice(agents)),) + body
+    op = Imp if kind == "imp" else Ann
+    return ((op, _gen(rng, Stratum.PAL, 2, atoms, agents)),) + body
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +360,7 @@ def _models(cfg: SuiteConfig, rng: random.Random) -> Iterator[EpistemicModel]:
         yield random_model(rng.randrange(2**32), n, _N_AGENTS, _N_ATOMS)
 
 
-def _random_bindings(
-    rng: random.Random, model: EpistemicModel, cfg: SuiteConfig
-) -> dict[str, object]:
+def _random_bindings(rng: random.Random, model: EpistemicModel) -> dict[str, object]:
     atoms = model.atoms
     agents = model.agents
 
@@ -430,7 +423,7 @@ def run_axiom_suite(
     for index, model in enumerate(_models(cfg, rng)):
         ev = Evaluator(cap=cfg.enumeration_cap)
         for binding_no in range(_AXIOM_BINDINGS_PER_MODEL):
-            bindings = _random_bindings(rng, model, cfg)
+            bindings = _random_bindings(rng, model)
             for axiom_id in AXIOM_IDS:
                 builder = overrides.get(axiom_id) if overrides else None
                 instance = builder(bindings) if builder else axiom_instance(axiom_id, bindings)
@@ -457,7 +450,7 @@ def run_rule_suite(
     for index, model in enumerate(_models(cfg, rng)):
         ev = Evaluator(cap=cfg.enumeration_cap)
         for binding_no in range(_RULE_BINDINGS_PER_MODEL):
-            bindings = _random_bindings(rng, model, cfg)
+            bindings = _random_bindings(rng, model)
             if premises is None:
                 pool = [
                     axiom_instance(x, bindings)
@@ -501,28 +494,23 @@ def _witness_through_form(
 ) -> GroupKnowledgeFormula:
     """Descend a refuted context to the hole's pointed model and synthesise
     the announcement that refutes the quantifier there."""
-    if isinstance(nf, Hole):
-        rep = evaluate_witness(model, state, inner, cap=ev.cap)
-        if rep.witness is not None:
-            return rep.witness
-        # condition failed at the point, so any announcement refutes it
-        return _silence(inner.group)
-    if isinstance(nf, NfImp):
-        return _witness_through_form(ev, model, state, nf.body, inner)
-    if isinstance(nf, NfKnow):
-        body_inst = nf_instantiate(nf.body, inner)
-        point = 1 << model.state_index(state)
-        block = next(b for b in model.blocks(nf.agent) if b & point)
-        failing = block & ~ev.truth_set(model, body_inst)
-        if not failing:
-            raise AssertionError("knowledge context was not actually refuted")
-        # the lowest failing state of the block
-        name = model.states_in(failing & -failing)[0]
-        return _witness_through_form(ev, model, name, nf.body, inner)
-    if isinstance(nf, NfAnn):
-        submodel = update(model, ev.truth_set(model, nf.ann))
-        return _witness_through_form(ev, submodel, state, nf.body, inner)
-    raise TypeError(f"not a necessity form: {nf!r}")
+    for k, (op, arg) in enumerate(nf):
+        if op is Know:
+            point = 1 << model.state_index(state)
+            block = next(b for b in model.blocks(arg) if b & point)
+            failing = block & ~ev.truth_set(model, nf_instantiate(nf[k + 1:], inner))
+            if not failing:
+                raise AssertionError("knowledge context was not actually refuted")
+            # the lowest failing state of the block
+            state = model.states_in(failing & -failing)[0]
+        elif op is Ann:
+            model = update(model, ev.truth_set(model, arg))
+        # an Imp frame leaves the point and the model as they are
+    rep = evaluate_witness(model, state, inner, cap=ev.cap)
+    if rep.witness is not None:
+        return rep.witness
+    # condition failed at the point, so any announcement refutes it
+    return _silence(inner.group)
 
 
 def run_quantifier_rule_suite(cfg: SuiteConfig) -> SuiteReport:
@@ -577,7 +565,7 @@ def run_quantifier_rule_suite(cfg: SuiteConfig) -> SuiteReport:
                             f"{rule} (model {index}, attempt {attempt}, state {state}): {exc}"
                         )
             # context monotonicity for a valid implication
-            bindings = _random_bindings(rng, model, cfg)
+            bindings = _random_bindings(rng, model)
             implication = axiom_instance(rng.choice(("A2", "A10", "C4")), bindings)
             check = Imp(
                 nf_instantiate(nf, implication.left),

@@ -225,6 +225,19 @@ class TestInternalErrors:
         assert "witness self-check failed" in capsys.readouterr().err
 
 
+class TestMalformedInputs:
+    @pytest.mark.parametrize("command", ["check", "contract"])
+    def test_deeply_nested_json_is_an_input_error(self, command, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        argv = ["--model", str(path)]
+        if command == "check":
+            argv += ["--state", "w", "--formula", "p"]
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestContract:
     def test_writes_quotient_and_map(self, tmp_path, capsys):
         doc = {

@@ -21,13 +21,9 @@ from corgal import (
     Coal,
     CoalDual,
     GroupKnowledgeFormula,
-    HOLE,
     Iff,
     Imp,
     Know,
-    NfAnn,
-    NfImp,
-    NfKnow,
     Not,
     Or,
     RelGroup,
@@ -45,7 +41,9 @@ from corgal import (
     size,
     stratum,
 )
-from corgal.formula import _measure, agents_in, atoms_in, height, hole_count
+from corgal.checker import UndeclaredSymbol, check_symbols
+from corgal.formula import _measure, height
+from corgal.model import EpistemicModel
 from corgal.validity import _gen
 
 from conftest import el_formulas, formulas
@@ -378,8 +376,10 @@ class TestSharedSubterms:
 
     def test_symbols(self):
         f = self.dag()
-        assert agents_in(f) == {"a"}
-        assert atoms_in(f) == {"p"}
+        check_symbols(EpistemicModel(["w"], ["a"], ["p"], {"a": [["w"]]}, {"p": ["w"]}), f)
+        without_a = EpistemicModel(["w"], ["b"], ["p"], {"b": [["w"]]}, {"p": ["w"]})
+        with pytest.raises(UndeclaredSymbol, match="'a'"):
+            check_symbols(without_a, f)
 
     def test_height(self):
         assert height(self.dag()) == 41
@@ -416,22 +416,12 @@ class TestGroupKnowledge:
 
 class TestNecessityForms:
     def test_bare_hole(self):
-        assert nf_instantiate(HOLE, p) == p
+        assert nf_instantiate((), p) == p
 
     def test_implication_context(self):
-        nf = NfImp(p, NfKnow("a", HOLE))
+        nf = ((Imp, p), (Know, "a"))
         assert nf_instantiate(nf, q) == Imp(p, Know("a", q))
 
     def test_announcement_context(self):
-        nf = NfAnn(r, NfImp(p, HOLE))
+        nf = ((Ann, r), (Imp, p))
         assert nf_instantiate(nf, Know("b", q)) == Ann(r, Imp(p, Know("b", q)))
-
-    def test_every_form_has_one_hole(self):
-        forms = [
-            HOLE,
-            NfImp(p, HOLE),
-            NfKnow("a", NfAnn(q, HOLE)),
-            NfAnn(p, NfImp(q, NfKnow("b", HOLE))),
-        ]
-        for nf in forms:
-            assert hole_count(nf) == 1

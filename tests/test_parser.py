@@ -335,6 +335,11 @@ class TestModelDefects:
     def test_unhashable_state_names_rejected(self, overrides, fragment, tmp_path, capsys):
         self._assert_rejected(_defective(overrides), fragment, tmp_path, capsys)
 
+    def test_deeply_nested_json_rejected(self):
+        # json.loads recurses once per level and overflows well before this
+        with pytest.raises(ModelError, match="nests too deeply"):
+            parse_model_document("[" * 100_000)
+
     @staticmethod
     def _assert_rejected(text, fragment, tmp_path, capsys):
         with pytest.raises(ModelError) as excinfo:

@@ -248,13 +248,36 @@ class TestQuantifierRuleSuite:
         assert evaluate(train, "w", f)
 
     def test_vacuous_context_behaves_like_a_bare_hole(self, train):
-        from corgal import HOLE, NfImp, TOP, nf_instantiate
+        from corgal import TOP, nf_instantiate
 
         inner = parse_formula("[{c}, top] K c ~p")
-        bare = nf_instantiate(HOLE, inner)
-        wrapped = nf_instantiate(NfImp(TOP, HOLE), inner)
+        bare = nf_instantiate((), inner)
+        wrapped = nf_instantiate(((Imp, TOP),), inner)
         for state in train.states:
             assert evaluate(train, state, bare) == evaluate(train, state, wrapped)
+
+    def test_descent_through_knowledge_and_announcement(self, counterexample, monkeypatch):
+        import corgal.validity
+        from corgal import TOP, Evaluator, nf_instantiate
+        from corgal.validity import _group_reduction, _witness_through_form
+
+        nf = ((Know, "a"), (Ann, Atom("q")))
+        inner = parse_formula("[{a,b}, top] ~K c p")
+        assert not evaluate(counterexample, "qr", nf_instantiate(nf, inner))
+        seen = []
+        original = corgal.validity.evaluate_witness
+
+        def spy(model, state, f, cap):
+            seen.append((model.states, state))
+            return original(model, state, f, cap=cap)
+
+        monkeypatch.setattr(corgal.validity, "evaluate_witness", spy)
+        witness = _witness_through_form(Evaluator(), counterexample, "qr", nf, inner)
+        # K a moves the point to pqr, [! q] drops pr
+        assert seen == [(("pqr", "pq", "qr"), "pqr")]
+        assert render_formula(witness.denotation()) == "K a top & K b p"
+        premise = nf_instantiate(nf, _group_reduction(witness.denotation(), TOP, inner.sub))
+        assert not evaluate(counterexample, "qr", premise)
 
 
 class TestTheoremSuite:
@@ -350,6 +373,40 @@ class TestGenFormula:
         for (target, seed), text in pinned.items():
             f = gen_formula(seed, target, 4, ("p", "q"), ("a", "b", "c"))
             assert render_formula(f) == text, (target, seed)
+
+    def test_contexts_render_as_pinned(self):
+        # the quantifier-rules suite draws its contexts here, and every later
+        # draw of the suite depends on this order
+        import random
+
+        from corgal import nf_instantiate
+        from corgal.validity import _gen_nf
+
+        pinned = [
+            "[! (q <-> p)] [! q] z",
+            "[! q] p -> z",
+            "z",
+            "(q -> q) -> (<! p> q -> z)",
+            "[! p] top -> K a z",
+            "K c K c z",
+            "z",
+            "K c (~top -> z)",
+            "p -> K b z",
+            "[! p] K b z",
+            "z",
+            "[! p] [! <! q> p] z",
+            "[! K a q] K c z",
+            "K c K c z",
+            "z",
+            "~p -> z",
+            "K c [! K a q] z",
+            "[! [! p] p] K b z",
+            "K a q -> z",
+            "z",
+        ]
+        for seed, text in enumerate(pinned):
+            nf = _gen_nf(random.Random(seed), 2, ("p", "q"), ("a", "b", "c"))
+            assert render_formula(nf_instantiate(nf, Atom("z"))) == text, seed
 
     def test_rejects_zero_depth(self):
         with pytest.raises(ValueError):
