@@ -8,10 +8,11 @@ sugar; desugar() expands them into the core
 no node of its own: it is written ~K a ~phi.  The size and depth
 measures plus the well-founded order driving the harness are those of
 the desugared formula.  They are computed on the formula itself, without
-building the desugared tree, and kept on each node, as its hash is; so
-is membership in the positive fragment (positive()), over which the
-checker's quantifiers enumerate nothing, and the tree's height
-(height()), which the parser bounds.  Leaves are interned:
+building the desugared tree, and kept on each node by a recursive memo,
+as its hash is.  Membership in the positive fragment (positive()), over
+which the checker's quantifiers enumerate nothing, and the tree's height
+(height()), which the parser bounds, are kept on each node too, and
+share one walk that needs no recursion.  Leaves are interned:
 Atom(name) returns one object per name, and Top() and Bot() return TOP
 and BOT.
 """
@@ -37,13 +38,12 @@ class Stratum(enum.IntEnum):
 class Formula:
     """Base class for all formula nodes.
 
-    Supports ~f, f & g, f | g and f >> g (implication) as construction
-    shorthand.  Equality is structural.  Each node computes its hash once
-    and keeps it, so hashing a formula costs O(1) after the first time
-    even when it shares subterms, as witnesses built from characteristic
-    formulas do.  Pickling and copying rebuild a node through its
-    constructor, so the kept hash, which depends on the process's hash
-    seed, is never carried over.
+    Equality is structural.  Each node computes its hash once and keeps
+    it, so hashing a formula costs O(1) after the first time even when it
+    shares subterms, as witnesses built from characteristic formulas do.
+    Pickling and copying rebuild a node through its constructor, so the
+    kept hash, which depends on the process's hash seed, is never carried
+    over.
     """
 
     # Memos filled on first use, not dataclass fields.
@@ -68,18 +68,6 @@ class Formula:
         if type(other) is not type(self):
             return NotImplemented
         return _equal(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __rshift__(self, other: "Formula") -> "Formula":
-        return Imp(self, other)
 
     def __str__(self) -> str:
         from .parser import render_formula
@@ -173,6 +161,11 @@ class AnnDual(Formula):
     sub: Formula
 
 
+def _freeze_group(f: Formula) -> None:
+    """Store the group of a quantified node as a frozenset."""
+    object.__setattr__(f, "group", frozenset(f.group))
+
+
 @dataclass(frozen=True, eq=False)
 class RelGroup(Formula):
     """Relativised group announcement box over the agents in `group`."""
@@ -181,8 +174,7 @@ class RelGroup(Formula):
     cond: Formula
     sub: Formula
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "group", frozenset(self.group))
+    __post_init__ = _freeze_group
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +183,7 @@ class RelGroupDual(Formula):
     cond: Formula
     sub: Formula
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "group", frozenset(self.group))
+    __post_init__ = _freeze_group
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +194,7 @@ class Coal(Formula):
     group: frozenset[str]
     sub: Formula
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "group", frozenset(self.group))
+    __post_init__ = _freeze_group
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +202,7 @@ class CoalDual(Formula):
     group: frozenset[str]
     sub: Formula
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "group", frozenset(self.group))
+    __post_init__ = _freeze_group
 
 
 def _equal(f: Formula, g: Formula) -> bool:
@@ -279,48 +268,50 @@ def stratum(f: Formula) -> Stratum:
     return level
 
 
+def _kept(f: Formula, name: str, rule: Callable[[Formula, list], object]) -> object:
+    """The fact kept on f as attribute `name`, set first on every node
+    below f that lacks it, children before parents, without recursion.
+    rule(g, values) gives g's fact from the facts its children keep."""
+    stack = [f]
+    while getattr(f, name) is None:
+        g = stack[-1]
+        parts = _children(g)
+        pending = [h for h in parts if getattr(h, name) is None]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        object.__setattr__(g, name, rule(g, [getattr(h, name) for h in parts]))
+    return getattr(f, name)
+
+
+def _positive_rule(g: Formula, values: list) -> bool:
+    t = type(g)
+    if t is And or t is Or:
+        return values[0] and values[1]
+    if t is Know or (t is RelGroup and g.cond is TOP):
+        return values[-1]
+    return t is Atom or t is Top or t is Bot or (t is Not and type(g.sub) is Atom)
+
+
 def positive(f: Formula) -> bool:
     """Is f positive: built from literals, top, bot, &, |, K a and
     [G, top]?  A positive formula true at a state stays true there in
     every restriction that keeps the state (see checker).  Kept on each
     node, and computed without recursion."""
-    stack = [f]
-    while f._positive is None:
-        g = stack[-1]
-        t = type(g)
-        if t is And or t is Or:
-            parts: tuple[Formula, ...] = (g.left, g.right)
-        elif t is Know or (t is RelGroup and g.cond is TOP):
-            parts = (g.sub,)
-        else:
-            parts = ()
-        pending = [h for h in parts if h._positive is None]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        if parts:
-            value = all(h._positive for h in parts)
-        else:
-            value = t is Atom or t is Top or t is Bot or (t is Not and type(g.sub) is Atom)
-        object.__setattr__(g, "_positive", value)
-    return f._positive
+    value = f._positive
+    if value is None:
+        value = _kept(f, "_positive", _positive_rule)
+    return value
 
 
 def height(f: Formula) -> int:
     """Height of f's tree: 0 for a leaf, else one more than its highest
     subformula.  Kept on each node, and computed without recursion."""
-    stack = [f]
-    while f._height is None:
-        g = stack[-1]
-        parts = _children(g)
-        pending = [h for h in parts if h._height is None]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        object.__setattr__(g, "_height", 1 + max([h._height for h in parts], default=-1))
-    return f._height
+    value = f._height
+    if value is None:
+        value = _kept(f, "_height", lambda g, values: 1 + max(values, default=-1))
+    return value
 
 
 def desugar(f: Formula) -> Formula:
@@ -358,6 +349,8 @@ def desugar(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+# Recursive, unlike _kept: the translation-measures suite measures many
+# fresh nodes, and routing this through _kept made it 15-40 % slower.
 def _measure(f: Formula) -> tuple[int, int, int]:
     """(depth_coal, depth_box, size) of desugar(f), computed on f itself
     and kept on the node."""

@@ -590,14 +590,11 @@ def _uniform_set_partition(rng: random.Random, items: Sequence[str]) -> list[lis
     for idx, item in enumerate(items):
         remaining = n - idx - 1
         m = len(blocks)
-        r = rng.randrange(count(remaining + 1, m))
-        placed = False
-        for block in blocks:
-            if r < count(remaining, m):
-                block.append(item)
-                placed = True
-                break
-            r -= count(remaining, m)
-        if not placed:
+        # each existing block weighs count(remaining, m); the rest of the
+        # draws open a new block
+        k = rng.randrange(count(remaining + 1, m)) // count(remaining, m)
+        if k < m:
+            blocks[k].append(item)
+        else:
             blocks.append([item])
     return blocks

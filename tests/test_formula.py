@@ -20,6 +20,7 @@ from corgal import (
     Bot,
     Coal,
     CoalDual,
+    Formula,
     GroupKnowledgeFormula,
     Iff,
     Imp,
@@ -42,7 +43,7 @@ from corgal import (
     stratum,
 )
 from corgal.checker import UndeclaredSymbol, check_symbols
-from corgal.formula import _measure, height
+from corgal.formula import _measure, _subformulas, height
 from corgal.model import EpistemicModel
 from corgal.validity import _gen
 
@@ -122,6 +123,68 @@ class TestHeight:
         for _ in range(5000):
             f = And(Know("a", f), q)
         assert height(f) == 10_000
+
+
+def naive_positive(f):
+    match f:
+        case And(left, right) | Or(left, right):
+            return naive_positive(left) and naive_positive(right)
+        case Know(_, sub):
+            return naive_positive(sub)
+        case RelGroup(_, cond, sub) if cond is TOP:
+            return naive_positive(sub)
+        case Not(sub):
+            return isinstance(sub, Atom)
+    return isinstance(f, (Atom, Top, Bot))
+
+
+def naive_height(f):
+    heights = [naive_height(getattr(f, n)) for n in f.__match_args__
+               if isinstance(getattr(f, n), Formula)]
+    return 1 + max(heights, default=-1)
+
+
+class TestKeptFacts:
+    """positive() and height() share one walk, which leaves each fact on
+    every node below the formula, under ~ and announcements too."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: And(Not(Know("a", Or(p, q))), Ann(Know("b", q), Not(Not(r)))),
+        lambda: CoalDual({"a"}, Or(p, Not(Know("b", q)))),
+        lambda: RelGroup({"a"}, Know("b", p), Not(RelGroupDual({"b"}, TOP, Know("a", q)))),
+        lambda: Imp(Coal({"b"}, And(p, Know("a", q))), Iff(AnnDual(p, q), Know("a", r))),
+    ], ids=["announcement", "coalition-diamond", "relativised-group", "implication"])
+    @pytest.mark.parametrize("fact, attr, naive", [
+        (positive, "_positive", naive_positive),
+        (height, "_height", naive_height),
+    ], ids=["positive", "height"])
+    def test_every_node_keeps_the_fact(self, make, fact, attr, naive):
+        f = make()
+        fact(f)
+        for g in _subformulas(f):
+            assert getattr(g, attr) == naive(g), g
+
+    @pytest.mark.parametrize("wrap", [
+        Not, lambda f: Ann(p, f), lambda f: CoalDual({"a"}, f),
+    ], ids=["not", "announcement", "coalition-diamond"])
+    def test_long_chains_need_no_recursion(self, wrap):
+        f = inner = Know("a", p)
+        for _ in range(10_000):
+            f = wrap(f)
+        assert not positive(f)
+        assert height(f) == 10_001
+        assert inner._positive is True and inner._height == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: RelGroup(g, TOP, p), lambda g: RelGroupDual(g, TOP, p),
+    lambda g: Coal(g, p), lambda g: CoalDual(g, p),
+], ids=["RelGroup", "RelGroupDual", "Coal", "CoalDual"])
+@pytest.mark.parametrize("group", [["b", "a", "b"], {"a", "b"}], ids=["list", "set"])
+def test_group_becomes_a_frozenset(make, group):
+    f, expected = make(group), make(frozenset({"a", "b"}))
+    assert type(f.group) is frozenset
+    assert f == expected and hash(f) == hash(expected)
 
 
 class TestDesugar:

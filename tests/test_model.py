@@ -1,3 +1,4 @@
+import hashlib
 from functools import reduce
 
 import pytest
@@ -20,6 +21,7 @@ from corgal import (
     evaluate,
     parse_model,
     random_model,
+    render_model,
     smallest_formulas,
     stratum,
     truth_set,
@@ -90,8 +92,6 @@ class TestUpdate:
 
 
 def parse_model_render(m):
-    from corgal import render_model
-
     return parse_model(render_model(m))
 
 
@@ -478,6 +478,17 @@ class TestCharacteristicSize:
 class TestRandomModel:
     def test_deterministic(self):
         assert models_equal(random_model(9, 5, 3, 3), random_model(9, 5, 3, 3))
+
+    def test_pinned(self):
+        # benchmark pools store fingerprints of these models, so the draws
+        # must never change; the digest was recorded when the test was added
+        digest = hashlib.sha256()
+        for n in (1, 2, 5, 9, 20):
+            for seed in range(200):
+                digest.update(render_model(random_model(seed, n, 3, 2)).encode())
+        assert digest.hexdigest() == (
+            "58dfe903f26df5e4f6c78e8b8c4e26909ad0c532c0d12196dd117ca5e0d796d8"
+        )
 
     def test_minimal(self):
         m = random_model(0, 1, 1, 1)
