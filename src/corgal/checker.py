@@ -3,9 +3,29 @@
 An Evaluator keeps its caches per root model, the model object a query
 names.  Every model the semantics visits below a root (the restriction
 after an announcement, an extension a quantifier weighs) is a set of the
-root's states, held as a bitmask S: truth(S, f) is memoised on (S, f)
-and announcing a in M|S leaves S & truth(S, a).  Formula hashes are
+root's states, held as a bitmask S: truth(S, f, F) is memoised on (S, f)
+and announcing a in M|S leaves S & truth(S, a, S).  Formula hashes are
 memoised on the nodes, so a key costs O(1) to hash.
+
+Truth is computed on demand.  truth(S, f, F) gives the states of the
+focus F, within S, where f holds in M|S, and computes only those not yet
+known; a pointed check asks the point, a truth set asks F = S.  The
+focus each part of f is asked:
+- ~g: F.  g & h and g -> h: g on F, h only where g holds.  g | h: g on
+  F, h only where g fails.  g <-> h: both on F.
+- K a g: g on the blocks of a in M|S that meet F.
+- [!chi] g and <!chi> g: chi on S, since it becomes the next model, and
+  g on F & chi.
+- The quantifiers: the condition of [G,chi] and <G,chi> on S, since it
+  bounds every scope, and the body only on the bits the clause reads
+  (see _Root.clause).
+Each (S, f) has one entry (known, value) in _truth: the states of S
+where f is decided, and the truth set within them.  A query computes
+only focus & ~known and adds it to both; once `known` is S, every later
+query of (S, f) is answered from the entry.  extensions() stays
+eager: every visited domain has all its extensions enumerated, but a
+domain the focus never reaches is never visited, nor counted against
+the cap.
 
 The quantified operators range over the joint announcements of a group.
 Their truth sets in M|S are the intersections, over the members, of
@@ -18,8 +38,9 @@ classes, so the operator's clause yields a mask over S directly.
 Each operator's clause is written once, in _Root.clause: over a domain S
 and a focus F within it, it yields per extension c whose scope (c, or c
 met with the condition for the relativised operators) meets F the part
-of the scope inside F where the operator's body survives.  Truth sets
-fold it with F = S, stopping once the result is settled.
+of the scope inside F where the operator's body survives.  truth()
+folds it over the focus it is asked, stopping once the result is
+settled.
 evaluate_witness and evaluate_trace fold it with F = the point: the
 first stops at the first extension that decides the verdict, the second
 weighs every extension for check --trace.  The witness for an extension
@@ -173,13 +194,17 @@ class Evaluator:
         self._roots: dict[EpistemicModel, _Root] = {}
 
     def holds(self, model: EpistemicModel, state: str, f: Formula) -> bool:
-        return bool(self.truth_set(model, f) >> model.state_index(state) & 1)
+        return bool(self.truth_set(model, f, 1 << model.state_index(state)))
 
-    def truth_set(self, model: EpistemicModel, f: Formula) -> StateSet:
+    def truth_set(
+        self, model: EpistemicModel, f: Formula, focus: StateSet | None = None
+    ) -> StateSet:
+        """The states where f holds; given a focus, only those within it,
+        and no others are computed."""
         root = self._roots.get(model)
         if root is None:
             root = self._roots[model] = _Root(model, self.cap)
-        return root.truth(model.full, f)
+        return root.truth(model.full, f, model.full if focus is None else focus & model.full)
 
 
 class _Root:
@@ -189,61 +214,73 @@ class _Root:
         self.model = model
         self.cap = cap
         self.agents = frozenset(model.agents)
-        self._truth: dict[tuple[StateSet, Formula], StateSet] = {}
+        # (known, value): f decided on `known`, value = truth & known
+        self._truth: dict[tuple[StateSet, Formula], tuple[StateSet, StateSet]] = {}
         self._saturated: dict[StateSet, dict[str, tuple[StateSet, ...]]] = {}
         self._extensions: dict[tuple[StateSet, frozenset[str]], list[StateSet]] = {}
 
-    def truth(self, domain: StateSet, f: Formula) -> StateSet:
-        """States of `domain` where f holds in the model restricted to it."""
+    def truth(self, domain: StateSet, f: Formula, focus: StateSet) -> StateSet:
+        """States of `focus` where f holds in the model restricted to
+        `domain`; focus lies within domain, and only focus & ~known is
+        computed."""
         key = (domain, f)
-        hit = self._truth.get(key)
-        if hit is None:
-            hit = self._truth[key] = self._compute(domain, f)
-        return hit
+        known, value = self._truth.get(key, (0, 0))
+        need = focus & ~known
+        if need:
+            value |= self._compute(domain, f, need)
+            self._truth[key] = (known | need, value)
+        return value & focus
 
-    def _compute(self, domain: StateSet, f: Formula) -> StateSet:
+    def _compute(self, domain: StateSet, f: Formula, need: StateSet) -> StateSet:
+        """truth(domain, f) & need, asking each part of f only where the
+        answer depends on it."""
         model = self.model
         if isinstance(f, Atom):
             try:
-                return model.valuation_mask(f.name) & domain
+                return model.valuation_mask(f.name) & need
             except KeyError:
                 raise UndeclaredSymbol(f"unknown atom {f.name!r}") from None
         if isinstance(f, Top):
-            return domain
+            return need
         if isinstance(f, Bot):
             return 0
         if isinstance(f, Not):
-            return domain & ~self.truth(domain, f.sub)
+            return need & ~self.truth(domain, f.sub, need)
         if isinstance(f, And):
-            return self.truth(domain, f.left) & self.truth(domain, f.right)
+            return self.truth(domain, f.right, self.truth(domain, f.left, need))
         if isinstance(f, Or):
-            return self.truth(domain, f.left) | self.truth(domain, f.right)
+            left = self.truth(domain, f.left, need)
+            return left | self.truth(domain, f.right, need & ~left)
         if isinstance(f, Imp):
-            return (domain & ~self.truth(domain, f.left)) | self.truth(domain, f.right)
+            left = self.truth(domain, f.left, need)
+            return (need & ~left) | self.truth(domain, f.right, left)
         if isinstance(f, Iff):
-            return domain & ~(self.truth(domain, f.left) ^ self.truth(domain, f.right))
+            return need & ~(self.truth(domain, f.left, need) ^ self.truth(domain, f.right, need))
         if isinstance(f, Know):
             try:
                 blocks = model.blocks(f.agent)
             except KeyError:
                 raise UndeclaredSymbol(f"unknown agent {f.agent!r}") from None
-            t = self.truth(domain, f.sub)
+            asked = 0  # the blocks that meet need
+            for block in blocks:
+                if block & need:
+                    asked |= block
+            t = self.truth(domain, f.sub, asked & domain)
             mask = 0
             for block in blocks:
-                block &= domain
-                if block & ~t == 0:
+                if block & need and block & domain & ~t == 0:
                     mask |= block
-            return mask
+            return mask & need
         if isinstance(f, Ann):
-            s = self.truth(domain, f.ann)
+            s = self.truth(domain, f.ann, domain)
             if s == 0:
-                return domain
-            return (domain & ~s) | self.truth(s, f.sub)
+                return need
+            return (need & ~s) | self.truth(s, f.sub, need & s)
         if isinstance(f, AnnDual):
-            s = self.truth(domain, f.ann)
-            return self.truth(s, f.sub) if s else 0
+            s = self.truth(domain, f.ann, domain)
+            return self.truth(s, f.sub, need & s) if s else 0
         if isinstance(f, _QUANTIFIED):
-            return self._quantified(domain, f)
+            return self._quantified(domain, f, need)
         raise TypeError(f"not a formula: {f!r}")
 
     def saturated(self, domain: StateSet) -> dict[str, tuple[StateSet, ...]]:
@@ -308,9 +345,9 @@ class _Root:
         an announcement's clause fails, a diamond gains those where one
         holds."""
         if isinstance(f, RelGroup):
-            return self.truth(domain, f.cond), True
+            return self.truth(domain, f.cond, domain), True
         if isinstance(f, RelGroupDual):
-            return domain & ~self.truth(domain, f.cond), False
+            return domain & ~self.truth(domain, f.cond, domain), False
         return (domain, True) if isinstance(f, Coal) else (0, False)
 
     def clause(
@@ -324,10 +361,13 @@ class _Root:
         coalition ones.  good is the part of scope & focus where f.sub
         survives: in M|scope for [G,chi] and <G,chi>, after some response
         of the other agents for [<G>], after every response for <[G]>.
-        Nothing is enumerated when chi misses the focus.  With `collapse`,
-        allowed when f.sub is positive, a choice made for all announcements
-        weighs silence alone and one made for some announcement weighs the
-        cells (see the module docstring).
+        f.sub is asked only the states good still depends on: here =
+        scope & focus for the relativised operators, and within each
+        response d, with x = c & d, x & here & ~good for [<G>] and
+        x & good for <[G]>.  Nothing is enumerated when chi misses the
+        focus.  With `collapse`, allowed when f.sub is positive, a choice
+        made for all announcements weighs silence alone and one made for
+        some announcement weighs the cells (see the module docstring).
         """
         unknown = f.group - self.agents
         if unknown:
@@ -339,7 +379,7 @@ class _Root:
             return self.cells(domain, group) if some else [domain]
 
         if isinstance(f, (RelGroup, RelGroupDual)):
-            chi = self.truth(domain, f.cond)
+            chi = self.truth(domain, f.cond, domain)
             if not chi & focus:
                 return
             responses = None
@@ -352,29 +392,30 @@ class _Root:
             if not here:
                 continue
             if responses is None:
-                good = here & self.truth(scope, f.sub)
+                good = self.truth(scope, f.sub, here)
             elif isinstance(f, Coal):
                 good = 0
                 for d in responses:
                     x = c & d
-                    if x & here & ~good:
-                        good |= here & self.truth(x, f.sub)
+                    if asked := x & here & ~good:
+                        good |= self.truth(x, f.sub, asked)
                         if good == here:
                             break
             else:
                 good = here
                 for d in responses:
                     x = c & d
-                    if x & good:
-                        good &= ~d | self.truth(x, f.sub)
+                    if asked := x & good:
+                        good &= ~d | self.truth(x, f.sub, asked)
                         if not good:
                             break
             yield c, scope, good
 
-    def _quantified(self, domain: StateSet, f: Formula) -> StateSet:
+    def _quantified(self, domain: StateSet, f: Formula, need: StateSet) -> StateSet:
         res, box = self.base(domain, f)
-        done = 0 if box else domain
-        for _, scope, good in self.clause(domain, f, domain, positive(f.sub)):
+        res &= need
+        done = 0 if box else need
+        for _, scope, good in self.clause(domain, f, need, positive(f.sub)):
             res = res & (~scope | good) if box else res | good
             if res == done:
                 break

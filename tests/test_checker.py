@@ -372,3 +372,21 @@ class TestCap:
     def test_generous_cap_is_fine(self, counterexample):
         f = parse_formula(f"<[{{a,b}}]> ({GOAL})")
         assert evaluate(counterexample, "pqr", f, cap=10**6)
+
+    @pytest.mark.parametrize("seed, n, text", [
+        (275, 4, "p0 & [<{a0,a1,a2}>] [! p1] p1"),
+        (143, 7, "K a1 [{a0,a2}, <! p0> p0] [<{a1}>] p1"),
+        (297, 6, "[{a0,a1,a2}, p0] [<{a0,a1,a2}>] (p1 | p0)"),
+    ])
+    def test_scopes_the_point_never_reaches_are_not_enumerated(self, seed, n, text):
+        # the truth set weighs scopes whose extensions exceed the cap; the
+        # verdict at s0 visits none of them, since each part is asked only
+        # where its parent reads it (not the right side of & where p0
+        # fails, under K a1 only the block of s0)
+        model = random_model(seed, n, 3, 2)
+        f = parse_formula(text)
+        with pytest.raises(EnumerationCapExceeded):
+            truth_set(model, f, cap=2)
+        assert evaluate(model, "s0", f, cap=2) is False
+        assert evaluate(model, "s0", f) is False
+

@@ -12,6 +12,7 @@ enumeration.
 from __future__ import annotations
 
 from itertools import product
+from random import Random
 
 import pytest
 
@@ -284,6 +285,77 @@ def test_random_three_agent_models():
         model = random_model(seed, 5, 3, 2)
         for f in _formulas(model.atoms, model.agents, 10):
             agree(model, f)
+
+
+# every operator once, quantified ones over bodies outside the positive
+# fragment, and right-hand sides that are asked only where the left
+# side leaves the answer open
+FOCUSED = [
+    "p0", "top", "bot", "~p0 & K a1 p0", "K a0 p0 | ~p0", "K a0 p0 -> K a1 p0",
+    "K a0 p0 <-> p0", "K a0 (p0 | K a1 ~p0)", "[! K a0 p0] K a1 p0", "<! ~K a1 p0> ~K a0 p0",
+    "[{a0}, ~K a1 p0] ~K a0 p0", "<{a1}, top> (K a0 p0 & ~K a1 p0)",
+    "[<{a0}>] ~K a1 p0", "<[{a1}]> (K a0 p0 -> ~K a1 p0)",
+    "p0 & <[{a0}]> ~K a1 p0", "~p0 | [<{a1}>] ~K a0 p0", "K a1 p0 -> <{a0}, p0> ~K a1 p0",
+]
+
+
+def focused_formulas() -> list:
+    """FOCUSED and NESTED, each bare and under ~, K and [! chi]."""
+    chi = parse_formula("p0 | K a1 p0")
+    out = []
+    for f in [parse_formula(text) for text in FOCUSED + NESTED]:
+        out += [f, Not(f), Know("a0", f), Ann(chi, f)]
+    return out
+
+
+def test_pointed_queries_in_shuffled_order():
+    # Evaluator.holds computes truth only at the state asked, down to the
+    # bodies of nested quantifiers; asking the states of a model in a
+    # shuffled order through one evaluator reads, extends and completes
+    # the partial entries that earlier states left behind
+    formulas = focused_formulas()
+    shuffle = Random(16).shuffle
+    models = [*enumerate_small_models(3, 2, 1), *doubled_models()]
+    models += [random_model(seed, 6 + seed % 2, 2, 1) for seed in range(12)]
+    for model in models:
+        expected = [reference(model, f) for f in formulas]
+        order = list(enumerate(model.states))
+        shuffle(order)
+        ev = Evaluator()
+        for i, state in order:
+            for f, t in zip(formulas, expected):
+                assert ev.holds(model, state, f) == bool(t >> i & 1), (model, state, str(f))
+        for f, t in zip(formulas, expected):
+            assert ev.truth_set(model, f) == t, (model, str(f))
+
+
+def test_query_order_does_not_change_truth_sets():
+    # a pointed query leaves partial entries behind; a later truth set on
+    # the same evaluator must equal one from a fresh evaluator
+    formulas = focused_formulas()
+    for seed in range(20):
+        model = random_model(seed, 5 + seed % 3, 3, 2)
+        state = model.states[seed % model.n]
+        for f in formulas:
+            ev = Evaluator()
+            ev.holds(model, state, f)
+            assert ev.truth_set(model, f) == Evaluator().truth_set(model, f), (model, str(f))
+
+
+def test_truth_sets_within_a_focus():
+    # truth_set with a focus answers only its states; the random foci
+    # overlap, so later ones extend what earlier ones left decided
+    formulas = focused_formulas()
+    draw = Random(7).getrandbits
+    for seed in range(12):
+        model = random_model(seed, 5 + seed % 3, 3, 2)
+        ev = Evaluator()
+        for f in formulas:
+            expected = reference(model, f)
+            for _ in range(3):
+                focus = draw(model.n)
+                assert ev.truth_set(model, f, focus) == expected & focus, (model, str(f), focus)
+            assert ev.truth_set(model, f) == expected, (model, str(f))
 
 
 def positive_cases() -> list:
