@@ -133,6 +133,7 @@ from .formula import (
     Top,
     _collect,
     positive,
+    reduction,
 )
 from .model import (
     DEFAULT_ENUMERATION_CAP,
@@ -187,6 +188,13 @@ class Evaluator:
     Pure from the outside; results never depend on query order.  The
     caches of each model are keyed on the model object itself, which the
     evaluator keeps for its lifetime.
+
+    An evaluator does not check f's symbols against the model.  An
+    undeclared agent or atom raises UndeclaredSymbol only where the focus
+    reaches it: holds(train, "w", p & K zz p) is False, and
+    truth_set(model, bot & zz) is 0.  The module-level evaluate,
+    truth_set, evaluate_witness and evaluate_trace run check_symbols
+    first.
     """
 
     def __init__(self, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -474,11 +482,7 @@ def evaluate_witness(
 
     witness = definable_formula(model, root.decomposition(model.full, f.group, deciding))
     # announcing the witness in place of the quantifier replays the decision
-    den = witness.denotation()
-    if isinstance(f, (RelGroup, RelGroupDual)):
-        recheck = (Ann if box else AnnDual)(And(den, f.cond), f.sub)
-    else:
-        recheck = (RelGroupDual if box else RelGroup)(frozenset(model.agents) - f.group, den, f.sub)
+    recheck = reduction(f, witness.denotation(), model.agents)
     if evaluate(model, state, recheck, cap=cap) != (not box):
         raise WitnessCheckFailed("witness self-check failed")
     # a deciding announcement flips the verdict the base gives the point

@@ -12,7 +12,9 @@ building the desugared tree, and kept on each node by a recursive memo,
 as its hash is.  Membership in the positive fragment (positive()), over
 which the checker's quantifiers enumerate nothing, and the tree's height
 (height()), which the parser bounds, are kept on each node too, and
-share one walk that needs no recursion.  Leaves are interned:
+share one walk that needs no recursion.  reduction() writes once what a
+quantifier becomes when its group's announcement is fixed, for the
+checker's witness check and the harness's axioms.  Leaves are interned:
 Atom(name) returns one object per name, and Top() and Bot() return TOP
 and BOT.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class Stratum(enum.IntEnum):
@@ -450,6 +452,27 @@ class GroupKnowledgeFormula:
 
     def __str__(self) -> str:
         return str(self.denotation())
+
+
+def reduction(f: Formula, den: Formula, agents: Iterable[str]) -> Formula:
+    """What the quantified f says once its group's announcement is fixed
+    to den (axioms A10 and A11 and their duals); `agents` are all the
+    model's agents, of which the coalition operators read the others G':
+
+        [G,chi] phi  ->  chi & [!(den & chi)] phi
+        <G,chi> phi  ->  chi -> <!(den & chi)> phi
+        [<G>] phi    ->  <G', den> phi
+        <[G]> phi    ->  [G', den] phi
+    """
+    if isinstance(f, RelGroup):
+        return And(f.cond, Ann(And(den, f.cond), f.sub))
+    if isinstance(f, RelGroupDual):
+        return Imp(f.cond, AnnDual(And(den, f.cond), f.sub))
+    if isinstance(f, Coal):
+        return RelGroupDual(frozenset(agents) - f.group, den, f.sub)
+    if isinstance(f, CoalDual):
+        return RelGroup(frozenset(agents) - f.group, den, f.sub)
+    raise TypeError(f"not a quantified formula: {f!r}")
 
 
 # A context with one hole, as frames outermost first: (Imp, antecedent),

@@ -23,14 +23,16 @@ definable_formula() turns the members' unions, given as (agent, mask)
 pairs, back into a concrete announcement on any model: a smallest
 epistemic formula per union from smallest_formulas(), or, once that
 search exceeds its budget, the characteristic formulas of the classes
-each union covers.
+each union covers.  Every conjunction and disjunction these build is
+joined as a balanced tree (_join), so a formula over k parts nests about
+log2 k levels deep, not k - 1, and stays within the parser's height
+bound where a left-deep chain would not.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -325,6 +327,16 @@ def contract(model: EpistemicModel) -> tuple[EpistemicModel, dict[str, str]]:
     return quotient, dict(zip(model.states, name_of))
 
 
+def _join(op: type[Formula], parts: Sequence[Formula]) -> Formula:
+    """op over the parts, in order, as a balanced tree: k parts nest
+    about log2 k levels deep, where a left-deep chain would nest k - 1.
+    Any shape has k - 1 inner nodes, so sizes do not depend on it."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return op(_join(op, parts[:mid]), _join(op, parts[mid:]))
+
+
 def characteristic_formulas(model: EpistemicModel) -> dict[str, Formula]:
     """One epistemic formula per bisimulation class, true exactly on it,
     given for every state; bisimilar states share one.
@@ -333,13 +345,14 @@ def characteristic_formulas(model: EpistemicModel) -> dict[str, Formula]:
     which round-k descriptions are considered possible and that nothing
     else is.  The number of rounds equals the number of refinement steps
     the model needs, so the formulas are as shallow as the model allows.
-    Disjunctions and conjunctions list classes by lowest state.
+    Disjunctions and conjunctions list classes by lowest state and are
+    balanced trees.
     """
     classes, blocks, depth = _quotient(model)
 
     def describe(c: StateSet) -> Formula:
         lits = [Atom(p) if model.valuation_mask(p) & c else Not(Atom(p)) for p in model.atoms]
-        return reduce(And, lits) if lits else TOP
+        return _join(And, lits) if lits else TOP
 
     valuations = [describe(c) for c in classes]
     current = valuations
@@ -350,10 +363,10 @@ def characteristic_formulas(model: EpistemicModel) -> dict[str, Formula]:
             for b in blocks[agent]:
                 # every class of the block gets the same parts
                 shared = [Not(Know(agent, Not(previous[k]))) for k in b]
-                shared.append(Know(agent, reduce(Or, [previous[k] for k in b])))
+                shared.append(Know(agent, _join(Or, [previous[k] for k in b])))
                 for k in b:
                     parts[k] += shared
-        current = [reduce(And, p) for p in parts]
+        current = [_join(And, p) for p in parts]
     class_of = {i: k for k, c in enumerate(classes) for i in _bits(c)}
     return {s: current[class_of[i]] for i, s in enumerate(model.states)}
 
@@ -540,8 +553,9 @@ def definable_formula(
     Each agent's knowledge part has exactly that agent's union as truth
     set.  Each agent announces a smallest formula for its union
     (smallest_formulas); once that search exceeds its budget, the
-    disjunction of the characteristic formulas of the bisimulation
-    classes its union covers, in the order of their lowest states.
+    balanced disjunction of the characteristic formulas of the
+    bisimulation classes its union covers, in the order of their lowest
+    states.
     """
     masks = [mask for _, mask in parts]
     nodes = characteristic_size(model, masks)
@@ -552,7 +566,7 @@ def definable_formula(
         chars = characteristic_formulas(model)
         # bisimilar states share their class's formula, so dedup keeps one per class
         bodies = {
-            mask: reduce(Or, dict.fromkeys(chars[s] for s in model.states_in(mask)))
+            mask: _join(Or, list(dict.fromkeys(chars[s] for s in model.states_in(mask))))
             for mask in masks
         }
     return GroupKnowledgeFormula(tuple((agent, bodies[mask]) for agent, mask in parts))

@@ -1,5 +1,13 @@
 """Concrete syntax: formula text and the JSON model document format.
 
+Formula text is cut into tokens by one pattern, _TOKEN_RE: at each
+position it matches a name, a symbol (the longer of `<->` and `->`
+first), a newline, or any other white space, and any other character is
+an error.  Only a newline starts a line; every other character is one
+column wide.  The binary connectives bind & tighter than |, | tighter
+than ->, and -> tighter than <->; -> associates to the right, the others
+to the left, each through one loop, _Parser._chain.
+
 The six bracketed operators are told apart by the token after the
 opening bracket: `[!` announcement, `[{` group, `[<` coalition box, and
 dually `<!`, `<{`, `<[`.  One table, _BRACKETS, maps each pair to its
@@ -18,6 +26,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .formula import (
     Ann,
@@ -53,7 +62,9 @@ RESERVED = frozenset({"top", "bot"})
 MAX_NESTING = 100
 TOO_DEEP = f"formula nests deeper than {MAX_NESTING} levels"
 
-_SYMBOLS = ("<->", "->", "[", "]", "<", ">", "{", "}", "(", ")", ",", "~", "&", "|", "!")
+# groups: 1 a name, 2 a symbol, 3 a newline; other white space has none
+_TOKEN_RE = re.compile(rf"({NAME_RE.pattern})|(<->|->|[][<>{{}}(),~&|!K])|(\n)|\s")
+_NAME, _NEWLINE = 1, 3
 
 _CLOSE = {"[": "]", "<": ">"}
 
@@ -90,57 +101,34 @@ class _Token:
     text: str
     line: int
     column: int
-    is_name: bool = False
+    is_name: bool
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        m = NAME_RE.match(text, i)
-        if m:
-            tokens.append(_Token(m.group(), line, col, is_name=True))
-            col += len(m.group())
-            i = m.end()
-            continue
-        if ch == "K":
-            tokens.append(_Token("K", line, col))
-            col += 1
-            i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+    line, line_start = 1, 0
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        column = pos - line_start + 1
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, column)
+        pos = m.end()
+        if m.lastindex == _NEWLINE:
+            line, line_start = line + 1, pos
+        elif m.lastindex is not None:
+            tokens.append(_Token(m.group(), line, column, m.lastindex == _NAME))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _lex(text)
         self.pos = 0
         self.nesting = 0
 
-    def _peek(self, ahead: int = 0) -> _Token | None:
-        i = self.pos + ahead
-        return self.tokens[i] if i < len(self.tokens) else None
+    def _peek(self) -> _Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def _here(self) -> tuple[int, int]:
         tok = self._peek()
@@ -167,8 +155,8 @@ class _Parser:
             raise ParseError(f"found {found}", line, col, expected=(repr(text),))
         return self._advance()
 
-    def _at(self, text: str, ahead: int = 0) -> bool:
-        tok = self._peek(ahead)
+    def _at(self, text: str) -> bool:
+        tok = self._peek()
         return tok is not None and tok.text == text
 
     def _too_deep(self, tok: _Token) -> ParseError:
@@ -191,11 +179,15 @@ class _Parser:
             )
         return f
 
-    def _iff(self) -> Formula:
-        f = self._imp()
-        while self._at("<->"):
-            f = self._build(self._advance(), Iff, f, self._imp())
+    def _chain(self, symbol: str, op: type[Formula], operand: Callable[[], Formula]) -> Formula:
+        """A left-associative chain of operands joined by symbol."""
+        f = operand()
+        while self._at(symbol):
+            f = self._build(self._advance(), op, f, operand())
         return f
+
+    def _iff(self) -> Formula:
+        return self._chain("<->", Iff, self._imp)
 
     def _imp(self) -> Formula:
         operands = [self._or()]
@@ -209,16 +201,10 @@ class _Parser:
         return f
 
     def _or(self) -> Formula:
-        f = self._and()
-        while self._at("|"):
-            f = self._build(self._advance(), Or, f, self._and())
-        return f
+        return self._chain("|", Or, self._and)
 
     def _and(self) -> Formula:
-        f = self._unary()
-        while self._at("&"):
-            f = self._build(self._advance(), And, f, self._unary())
-        return f
+        return self._chain("&", And, self._unary)
 
     def _unary(self) -> Formula:
         tok = self._peek()

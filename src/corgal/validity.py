@@ -49,6 +49,7 @@ from .formula import (
     BOT,
     nf_instantiate,
     order_lt,
+    reduction,
     stratum,
 )
 from .model import (
@@ -250,26 +251,14 @@ _TAUT_TEMPLATES: tuple[Callable[[Formula, Formula, Formula], Formula], ...] = (
 )
 
 
-def _group_reduction(den: Formula, chi: Formula, phi: Formula) -> Formula:
-    """chi & [!(den & chi)] phi: the group announces den under the
-    condition chi, in place of [G, chi] phi."""
-    return And(chi, Ann(And(den, chi), phi))
-
-
-def _coalition_reduction(
-    den: Formula, group: frozenset[str], all_agents: Iterable[str], phi: Formula
+def _reduction_axiom(
+    f: Formula, psi_g: GroupKnowledgeFormula, all_agents: Iterable[str], axiom_id: str
 ) -> Formula:
-    """<G', den> phi: the other agents G' answer the coalition's
-    announcement den, in place of [<G>] phi."""
-    return RelGroupDual(frozenset(all_agents) - group, den, phi)
-
-
-def _group_denotation(
-    psi_g: GroupKnowledgeFormula, group: frozenset[str], axiom_id: str
-) -> Formula:
-    if psi_g.group != group:
+    """f -> reduction(f, den): the group announces psi_g's denotation den
+    in place of the quantifier f."""
+    if psi_g.group != f.group:
         raise ValueError(f"{axiom_id}: psi_g bindings must cover exactly the group")
-    return psi_g.denotation()
+    return Imp(f, reduction(f, psi_g.denotation(), all_agents))
 
 
 def _c5(
@@ -304,13 +293,12 @@ AXIOMS: dict[str, Callable[..., Formula]] = {
         Ann(phi, Know(agent, psi)), Imp(phi, Know(agent, Ann(phi, psi)))
     ),
     "A9": lambda phi, psi, chi: Iff(Ann(phi, Ann(psi, chi)), Ann(And(phi, Ann(phi, psi)), chi)),
-    "A10": lambda group, chi, phi, psi_g: Imp(
-        RelGroup(group, chi, phi),
-        _group_reduction(_group_denotation(psi_g, group, "A10"), chi, phi),
+    # the relativised operators' reduction reads no other agents
+    "A10": lambda group, chi, phi, psi_g: _reduction_axiom(
+        RelGroup(group, chi, phi), psi_g, (), "A10"
     ),
-    "A11": lambda group, phi, psi_g, all_agents: Imp(
-        Coal(group, phi),
-        _coalition_reduction(_group_denotation(psi_g, group, "A11"), group, all_agents, phi),
+    "A11": lambda group, phi, psi_g, all_agents: _reduction_axiom(
+        Coal(group, phi), psi_g, all_agents, "A11"
     ),
     "C1": lambda group: Not(CoalDual(group, BOT)),
     "C2": lambda group: CoalDual(group, TOP),
@@ -531,14 +519,7 @@ def run_quantifier_rule_suite(cfg: SuiteConfig) -> SuiteReport:
             group = _gen_group(rng, model.agents)
             chi = TOP if rng.random() < 0.5 else _gen(rng, Stratum.PAL, 2, model.atoms, model.agents)
             phi = _gen(rng, Stratum.PAL, 2, model.atoms, model.agents)
-            for rule, inner, replace in (
-                ("R5", RelGroup(group, chi, phi), lambda den: _group_reduction(den, chi, phi)),
-                (
-                    "R6",
-                    Coal(group, phi),
-                    lambda den: _coalition_reduction(den, group, model.agents, phi),
-                ),
-            ):
+            for rule, inner in (("R5", RelGroup(group, chi, phi)), ("R6", Coal(group, phi))):
                 conclusion = nf_instantiate(nf, inner)
                 try:
                     t = ev.truth_set(model, conclusion)
@@ -549,7 +530,9 @@ def run_quantifier_rule_suite(cfg: SuiteConfig) -> SuiteReport:
                     report.cases += 1
                     try:
                         witness = _witness_through_form(ev, model, state, nf, inner)
-                        premise = nf_instantiate(nf, replace(witness.denotation()))
+                        premise = nf_instantiate(
+                            nf, reduction(inner, witness.denotation(), model.agents)
+                        )
                         if ev.holds(model, state, premise):
                             report.failures.append(
                                 Failure(
@@ -735,13 +718,14 @@ def run_translation_and_measure_suite(cfg: SuiteConfig) -> SuiteReport:
         phi = _gen(rng, Stratum.CORGAL, rng.randint(1, _FORMULA_DEPTH), atoms, agents)
         group = _gen_group(rng, agents)
         den = _gen_group_knowledge(rng, group, atoms, agents).denotation()
-        by_group = _group_reduction(den, chi, phi)
-        by_others = _coalition_reduction(den, group, agents, phi)
+        group_box, coalition_box = RelGroup(group, chi, phi), Coal(group, phi)
+        by_group = reduction(group_box, den, agents)
+        by_others = reduction(coalition_box, den, agents)
         inequalities = [
-            ("P7-1", by_group, RelGroup(group, chi, phi)),
-            ("P7-2", Ann(tau, by_group), Ann(tau, RelGroup(group, chi, phi))),
-            ("P7-3", by_others, Coal(group, phi)),
-            ("P7-4", Ann(tau, by_others), Ann(tau, Coal(group, phi))),
+            ("P7-1", by_group, group_box),
+            ("P7-2", Ann(tau, by_group), Ann(tau, group_box)),
+            ("P7-3", by_others, coalition_box),
+            ("P7-4", Ann(tau, by_others), Ann(tau, coalition_box)),
         ]
         for claim, smaller, larger in inequalities:
             report.cases += 1
@@ -836,11 +820,9 @@ def evaluate_coalition_alt(
     quotient, mapping = contract(model)
     model.state_index(state)  # rejects an unknown state
     v = mapping[state]
-    others = frozenset(quotient.agents) - f.group
     chars = characteristic_formulas(quotient)
     options = choice_sets(quotient, f.group, cap=cap)
     ev = Evaluator(cap=cap)
-    response = RelGroupDual if isinstance(f, Coal) else RelGroup
 
     def announced(c: ChoiceSet) -> Formula:
         return GroupKnowledgeFormula(
@@ -850,7 +832,7 @@ def evaluate_coalition_alt(
             )
         ).denotation()
 
-    verdicts = (ev.holds(quotient, v, response(others, announced(c), f.sub)) for c in options)
+    verdicts = (ev.holds(quotient, v, reduction(f, announced(c), quotient.agents)) for c in options)
     return all(verdicts) if isinstance(f, Coal) else any(verdicts)
 
 

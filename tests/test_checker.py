@@ -1,5 +1,4 @@
 import random
-from functools import reduce
 
 import pytest
 
@@ -39,7 +38,7 @@ from corgal import (
     truth_set,
 )
 from corgal.checker import WitnessCheckFailed
-from corgal.model import update
+from corgal.model import _join, update
 from corgal.validity import _gen
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -318,8 +317,9 @@ class TestWitnesses:
 
     def test_search_gives_up_on_a_large_model(self, tmp_path, capsys):
         # the search exceeds its default budget here, so each member
-        # announces the disjunction of its classes' characteristic formulas,
-        # in the order of their lowest states, the quotient's state order
+        # announces the balanced disjunction of its classes' characteristic
+        # formulas, in the order of their lowest states, the quotient's
+        # state order
         m = random_model(3, 20, 3, 1)
         f = parse_formula("<{a0}, top> (K a1 p0 | K a2 ~p0)")
         report = evaluate_witness(m, "s0", f)
@@ -329,7 +329,7 @@ class TestWitnesses:
         for _, body in report.witness.bindings:
             mask = truth_set(m, body)
             covered = [q for q in quotient.states if mask >> m.state_index(q) & 1]
-            assert body == reduce(Or, [chars[q] for q in covered])
+            assert body == _join(Or, [chars[q] for q in covered])
         path = tmp_path / "model.json"
         path.write_text(render_model(m), encoding="utf-8")
         argv = ["witness", "--model", str(path), "--state", "s0", "--formula", render_formula(f)]

@@ -198,6 +198,25 @@ class TestWitness:
                      "--formula", "K a ~p"])
         assert code == 2
 
+    def test_fallback_witness_round_trips_through_check(self, tmp_path, capsys, monkeypatch):
+        # the smallest-formula search gives up here; the characteristic-
+        # formula witness is over 500,000 characters, and joined left-deep
+        # it would nest deeper than check accepts
+        path = tmp_path / "model.json"
+        path.write_text(corgal.render_model(corgal.random_model(20, 60, 3, 1)))
+        body = "(K a1 p0 | K a2 ~p0)"
+        query = ["--model", str(path), "--state", "s0"]
+        assert main(["witness", *query, "--formula", f"<{{a0}}, top> {body}"]) == 0
+        verdict, witness = capsys.readouterr().out.splitlines()
+        assert verdict == "true" and witness.startswith("witness: ")
+        witness = witness.removeprefix("witness: ")
+        assert len(witness) > 500_000
+        # formulas this long go through stdin
+        for text in (witness, f"<! ({witness}) & top> {body}"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main(["check", *query]) == 0
+            assert capsys.readouterr().out == "true\n"
+
 
 class TestInternalErrors:
     def test_unexpected_exception_exits_5(self, train_path, capsys, monkeypatch):

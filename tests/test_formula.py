@@ -43,7 +43,7 @@ from corgal import (
     stratum,
 )
 from corgal.checker import UndeclaredSymbol, check_symbols
-from corgal.formula import _measure, _subformulas, height
+from corgal.formula import _measure, _subformulas, height, reduction
 from corgal.model import EpistemicModel
 from corgal.validity import _gen
 
@@ -488,3 +488,19 @@ class TestNecessityForms:
     def test_announcement_context(self):
         nf = ((Ann, r), (Imp, p))
         assert nf_instantiate(nf, Know("b", q)) == Ann(r, Imp(p, Know("b", q)))
+
+
+class TestReduction:
+    # the group {a} announces K a q in place of the quantifier
+    @pytest.mark.parametrize("f, reduced", [
+        ("[{a}, p] r", "p & [! (K a q & p)] r"),
+        ("<{a}, p> r", "p -> <! (K a q & p)> r"),
+        ("[<{a}>] r", "<{b,c}, K a q> r"),
+        ("<[{a}]> r", "[{b,c}, K a q] r"),
+    ])
+    def test_each_quantifier(self, f, reduced):
+        assert reduction(parse_formula(f), Know("a", q), ("a", "b", "c")) == parse_formula(reduced)
+
+    def test_only_quantifiers(self):
+        with pytest.raises(TypeError):
+            reduction(Ann(p, q), TOP, ("a",))

@@ -35,7 +35,7 @@ from corgal import (
     render_model,
 )
 from corgal.cli import main
-from corgal.parser import MAX_NESTING
+from corgal.parser import MAX_NESTING, _lex
 
 from conftest import formulas, models_equal
 
@@ -96,6 +96,53 @@ class TestParseFormula:
             parse_formula("[, p] q")
         assert "unknown operator" in str(err.value)
         assert "'!'" in str(err.value)
+
+
+# (text, tokens as (text, line, column)); only "\n" starts a line, and every
+# other character, white space included, is one column wide
+TOKEN_POSITIONS = [
+    ("p &\r\nq", [("p", 1, 1), ("&", 1, 3), ("q", 2, 1)]),
+    ("\tK\ta p", [("K", 1, 2), ("a", 1, 4), ("p", 1, 6)]),
+    ("p\x0b& q", [("p", 1, 1), ("&", 1, 3), ("q", 1, 5)]),
+    ("p\u00a0|\u00a0q", [("p", 1, 1), ("|", 1, 3), ("q", 1, 5)]),
+    ("p\u2028-> q", [("p", 1, 1), ("->", 1, 3), ("q", 1, 6)]),
+    ("Ka p", [("K", 1, 1), ("a", 1, 2), ("p", 1, 4)]),
+    ("Kab_1K", [("K", 1, 1), ("ab_1", 1, 2), ("K", 1, 6)]),
+    ("<->->", [("<->", 1, 1), ("->", 1, 4)]),
+    ("<[{a,b}]>~p", [("<", 1, 1), ("[", 1, 2), ("{", 1, 3), ("a", 1, 4), (",", 1, 5),
+                     ("b", 1, 6), ("}", 1, 7), ("]", 1, 8), (">", 1, 9), ("~", 1, 10),
+                     ("p", 1, 11)]),
+    ("[!p]\n\n  (q)", [("[", 1, 1), ("!", 1, 2), ("p", 1, 3), ("]", 1, 4), ("(", 3, 3),
+                       ("q", 3, 4), (")", 3, 5)]),
+    (" \r\n\t\x0b\x0c\u00a0\u2028\u3000", []),
+]
+
+# (text, line, column, message) of the error parse_formula raises
+ERROR_POSITIONS = [
+    ("p - q", 1, 3, "unexpected character '-'"),
+    ("p <- q", 1, 4, "unexpected character '-'"),
+    ("p\r\n\t& #", 2, 4, "unexpected character '#'"),
+    ("p\x0b\u2028Q", 1, 4, "unexpected character 'Q'"),
+    ("p &\r\n\tq ->\n", 2, 6, "unexpected end of input"),
+    ("K a\n  K\n", 2, 4, "found end of input"),
+    ("\n\n", 1, 1, "unexpected end of input"),
+    ("p\n\u00a0& & q", 2, 4, "found '&'"),
+    ("p\u2028q", 1, 3, "trailing input 'q'"),
+]
+
+
+class TestLexerPositions:
+    @pytest.mark.parametrize("text, tokens", TOKEN_POSITIONS,
+                             ids=[repr(t) for t, _ in TOKEN_POSITIONS])
+    def test_tokens(self, text, tokens):
+        assert [(t.text, t.line, t.column) for t in _lex(text)] == tokens
+
+    @pytest.mark.parametrize("text, line, column, message", ERROR_POSITIONS,
+                             ids=[repr(t) for t, *_ in ERROR_POSITIONS])
+    def test_errors(self, text, line, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
 
 
 class TestNestingLimit:

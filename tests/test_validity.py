@@ -258,8 +258,9 @@ class TestQuantifierRuleSuite:
 
     def test_descent_through_knowledge_and_announcement(self, counterexample, monkeypatch):
         import corgal.validity
-        from corgal import TOP, Evaluator, nf_instantiate
-        from corgal.validity import _group_reduction, _witness_through_form
+        from corgal import Evaluator, nf_instantiate
+        from corgal.formula import reduction
+        from corgal.validity import _witness_through_form
 
         nf = ((Know, "a"), (Ann, Atom("q")))
         inner = parse_formula("[{a,b}, top] ~K c p")
@@ -276,7 +277,7 @@ class TestQuantifierRuleSuite:
         # K a moves the point to pqr, [! q] drops pr
         assert seen == [(("pqr", "pq", "qr"), "pqr")]
         assert render_formula(witness.denotation()) == "K a top & K b p"
-        premise = nf_instantiate(nf, _group_reduction(witness.denotation(), TOP, inner.sub))
+        premise = nf_instantiate(nf, reduction(inner, witness.denotation(), counterexample.agents))
         assert not evaluate(counterexample, "qr", premise)
 
 
