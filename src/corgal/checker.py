@@ -17,8 +17,8 @@ focus each part of f is asked:
 - [!chi] g and <!chi> g: chi on S, since it becomes the next model, and
   g on F & chi.
 - The quantifiers: the condition of [G,chi] and <G,chi> on S, since it
-  bounds every scope, and the body only on the bits the clause reads
-  (see _Root.clause).
+  bounds every scope, and the body only on the states the fold still
+  reads (see _Root.fold).
 Each (S, f) has one entry (known, value) in _truth: the states of S
 where f is decided, and the truth set within them.  A query computes
 only focus & ~known and adds it to both; once `known` is S, every later
@@ -33,16 +33,25 @@ unions of each member's blocks widened to whole bisimulation classes of
 M|S (model.refinement, cached per S).  Each distinct such
 intersection, an extension, is enumerated once, S itself first so that
 silence is the first candidate.  Extensions are unions of bisimulation
-classes, so the operator's clause yields a mask over S directly.
+classes, so a fold yields a mask over S directly.
 
-Each operator's clause is written once, in _Root.clause: over a domain S
-and a focus F within it, it yields per extension c whose scope (c, or c
-met with the condition for the relativised operators) meets F the part
-of the scope inside F where the operator's body survives.  truth()
-folds it over the focus it is asked, stopping once the result is
-settled.
-evaluate_witness and evaluate_trace fold it with F = the point: the
-first stops at the first extension that decides the verdict, the second
+One fold, _Root.fold, evaluates all four operators.  On the states F it
+is asked, [G,chi] f starts from F & chi and loses those where f fails in
+M|(c & chi) for an extension c of G; <G,chi> f starts from F - chi and
+gains those where f holds in some M|(c & chi).  The coalition operators
+nest it once (axiom A11; the two-move game of Agotnes and van Ditmarsch,
+AAMAS 2008): with c fixed, [<G>] f is <G', c> f and <[G]> f is
+[G', c] f, G' being the other agents, so each c, with condition S, is
+weighed by the dual fold of G' with condition c.  A fold asks each c only
+the states of its scope it can still change, those a box still holds or
+a diamond still lacks, and stops once it is settled, before enumerating
+anything if the condition settles it.  A level costs three Python frames
+(truth, _compute, fold), a coalition level four, as the inner fold is
+called from the outer one's loop: 98 nested operators need about 300
+and 400 frames of the default limit of 1,000.
+evaluate_witness and evaluate_trace weigh the top-level extensions at the
+point with the fold's weights (_pointed), none when the condition misses
+the point.  The first stops at the first deciding extension, the second
 weighs every extension for check --trace.  The witness for an extension
 X is its canonical decomposition R_a(X), the union of member a's widened
 blocks that meet X.  Each member announces a smallest epistemic formula
@@ -92,14 +101,14 @@ The clauses, for positive f, at s in S (the other agents are G'):
   serves every c by the lemma; X_G'(s) serves whenever any d does.  So
   the union over cells C of G' of truth(C, f): silence is the only
   option needed.
-_Root.clause stays the one implementation of the four clauses; for a
-positive body, _quantified hands it the cells where the clause asks for
-some announcement and silence alone where it asks for every one.  That
-needs one truth set per cell instead of one per pair of option and
-response, and no cap.  evaluate_witness and evaluate_trace still weigh
-the extensions of their top-level operator, so the witness and the trace
-do not change; the quantifiers below it take the collapse through
-truth().
+_Root.fold stays the one implementation of the four clauses; for a
+positive body, _Root.options hands it the cells where the clause asks
+for some announcement (a diamond fold) and silence alone where it asks
+for every one (a box fold), so `some` is always `not box`.  That needs
+one truth set per cell instead of one per pair of option and response,
+and no cap.  evaluate_witness and evaluate_trace still weigh the
+extensions of their top-level operator, so the witness and the trace do
+not change; the quantifiers below it take the collapse through truth().
 
 Only [G, top] extends the fragment.  On random_model(533214, 5, 3, 2),
 whose five states are pairwise non-bisimilar, <[{a0}]> (K a2 p0 | ~p1),
@@ -288,7 +297,8 @@ class _Root:
             s = self.truth(domain, f.ann, domain)
             return self.truth(s, f.sub, need & s) if s else 0
         if isinstance(f, _QUANTIFIED):
-            return self._quantified(domain, f, need)
+            chi, box, others = self.quantifier(domain, f)
+            return self.fold(domain, f.group, chi, box, f.sub, need, others, positive(f.sub))
         raise TypeError(f"not a formula: {f!r}")
 
     def saturated(self, domain: StateSet) -> dict[str, tuple[StateSet, ...]]:
@@ -347,84 +357,59 @@ class _Root:
             if a in group
         )
 
-    def base(self, domain: StateSet, f: Formula) -> tuple[StateSet, bool]:
-        """Where the quantified f holds in M|domain before any announcement
-        is weighed, and whether f is a box: a box loses the states where
-        an announcement's clause fails, a diamond gains those where one
-        holds."""
-        if isinstance(f, RelGroup):
-            return self.truth(domain, f.cond, domain), True
-        if isinstance(f, RelGroupDual):
-            return domain & ~self.truth(domain, f.cond, domain), False
-        return (domain, True) if isinstance(f, Coal) else (0, False)
-
-    def clause(
-        self, domain: StateSet, f: Formula, focus: StateSet, collapse: bool = False
-    ) -> Iterator[tuple[StateSet, StateSet, StateSet]]:
-        """The clause of the quantified f in M|domain, one announcement at
-        a time: for each extension c of f's group whose scope meets
-        `focus`, in extensions() order, yields (c, scope, good).
-
-        The scope is c & chi for the relativised operators and c for the
-        coalition ones.  good is the part of scope & focus where f.sub
-        survives: in M|scope for [G,chi] and <G,chi>, after some response
-        of the other agents for [<G>], after every response for <[G]>.
-        f.sub is asked only the states good still depends on: here =
-        scope & focus for the relativised operators, and within each
-        response d, with x = c & d, x & here & ~good for [<G>] and
-        x & good for <[G]>.  Nothing is enumerated when chi misses the
-        focus.  With `collapse`, allowed when f.sub is positive, a choice
-        made for all announcements weighs silence alone and one made for
-        some announcement weighs the cells (see the module docstring).
-        """
+    def quantifier(
+        self, domain: StateSet, f: Formula
+    ) -> tuple[StateSet, bool, frozenset[str] | None]:
+        """The fold of the quantified f in M|domain: its condition, whether
+        it is a box, and the agents whose dual fold weighs each announcement
+        (None for the relativised operators)."""
+        relativised = isinstance(f, (RelGroup, RelGroupDual))
+        chi = self.truth(domain, f.cond, domain) if relativised else domain
         unknown = f.group - self.agents
         if unknown:
             raise UndeclaredSymbol(f"unknown agent {sorted(unknown)[0]!r}")
+        others = None if relativised else self.agents - f.group
+        return chi, isinstance(f, (RelGroup, Coal)), others
 
-        def ranged(group: frozenset[str], some: bool) -> list[StateSet]:
-            if not collapse:
-                return self.extensions(domain, group)
-            return self.cells(domain, group) if some else [domain]
+    def options(
+        self, domain: StateSet, group: frozenset[str], some: bool, collapse: bool
+    ) -> list[StateSet]:
+        """The announcements of `group` a fold weighs in M|domain: every
+        extension, or with `collapse` (a positive body) the cells when
+        `some` and silence alone otherwise (see the module docstring)."""
+        if not collapse:
+            return self.extensions(domain, group)
+        return self.cells(domain, group) if some else [domain]
 
-        if isinstance(f, (RelGroup, RelGroupDual)):
-            chi = self.truth(domain, f.cond, domain)
-            if not chi & focus:
-                return
-            responses = None
-        else:
-            chi = domain
-            responses = ranged(self.agents - f.group, isinstance(f, Coal))
-        for c in ranged(f.group, isinstance(f, (RelGroupDual, CoalDual))):
+    def fold(
+        self,
+        domain: StateSet,
+        group: frozenset[str],
+        chi: StateSet,
+        box: bool,
+        sub: Formula,
+        need: StateSet,
+        others: frozenset[str] | None,
+        collapse: bool,
+    ) -> StateSet:
+        """[group, chi] sub (box) or <group, chi> sub (diamond) in
+        M|domain, on the states of `need`.  Each announcement c is weighed
+        on the states of its scope it can still change: by sub in M|scope,
+        or with `others` by their dual fold with condition c (axiom A11)."""
+        res = need & chi if box else need & ~chi
+        done = 0 if box else need
+        if res == done:
+            return res
+        for c in self.options(domain, group, not box, collapse):
             scope = c & chi
-            here = scope & focus
+            here = scope & res if box else scope & need & ~res
             if not here:
                 continue
-            if responses is None:
-                good = self.truth(scope, f.sub, here)
-            elif isinstance(f, Coal):
-                good = 0
-                for d in responses:
-                    x = c & d
-                    if asked := x & here & ~good:
-                        good |= self.truth(x, f.sub, asked)
-                        if good == here:
-                            break
+            if others is None:
+                good = self.truth(scope, sub, here)
             else:
-                good = here
-                for d in responses:
-                    x = c & d
-                    if asked := x & good:
-                        good &= ~d | self.truth(x, f.sub, asked)
-                        if not good:
-                            break
-            yield c, scope, good
-
-    def _quantified(self, domain: StateSet, f: Formula, need: StateSet) -> StateSet:
-        res, box = self.base(domain, f)
-        res &= need
-        done = 0 if box else need
-        for _, scope, good in self.clause(domain, f, need, positive(f.sub)):
-            res = res & (~scope | good) if box else res | good
+                good = self.fold(domain, others, scope, not box, sub, here, None, collapse)
+            res = (res & ~here) | good if box else res | good
             if res == done:
                 break
         return res
@@ -446,17 +431,32 @@ def evaluate(
 
 def _pointed(
     model: EpistemicModel, state: str, f: Formula, cap: int
-) -> tuple[_Root, int, bool, bool]:
+) -> tuple[_Root, bool, bool, Iterator[tuple[StateSet, StateSet]]]:
     """The set-up evaluate_witness and evaluate_trace share: the root of a
-    fresh evaluator, the point as a mask, whether the base gives the point
-    f's verdict, and whether f is a box."""
+    fresh evaluator, whether the condition alone gives the point f's
+    verdict, whether f is a box, and (c, good) for each extension c whose
+    scope contains the point, weighed there as fold weighs it; none when
+    the condition misses the point."""
     if not isinstance(f, _QUANTIFIED):
         raise NotQuantified("the outermost operator is not a quantified announcement")
     check_symbols(model, f)
     root = _Root(model, cap)
     point = 1 << model.state_index(state)
-    res, box = root.base(model.full, f)
-    return root, point, bool(res & point), box
+    chi, box, others = root.quantifier(model.full, f)
+
+    def weighed() -> Iterator[tuple[StateSet, StateSet]]:
+        if not chi & point:
+            return
+        for c in root.extensions(model.full, f.group):
+            scope = c & chi
+            if not scope & point:
+                continue
+            if others is None:
+                yield c, root.truth(scope, f.sub, point)
+            else:
+                yield c, root.fold(model.full, others, scope, not box, f.sub, point, None, False)
+
+    return root, bool(chi & point) == box, box, weighed()
 
 
 def evaluate_witness(
@@ -474,9 +474,8 @@ def evaluate_witness(
     the quantifier, through a fresh evaluator, must replay the decision,
     or WitnessCheckFailed is raised.
     """
-    root, point, held, box = _pointed(model, state, f, cap)
-    weighed = root.clause(model.full, f, point)
-    deciding = next((c for c, _, good in weighed if bool(good) != box), None)
+    root, held, box, weighed = _pointed(model, state, f, cap)
+    deciding = next((c for c, good in weighed if bool(good) != box), None)
     if deciding is None:
         return WitnessReport(held, None)
 
@@ -499,7 +498,7 @@ def evaluate_trace(
     at the point: one line per distinct extension X whose scope contains
     the point, silence first, with X's decomposition R_a(X) and whether
     the clause holds there."""
-    root, point, held, box = _pointed(model, state, f, cap)
+    root, held, box, weighed = _pointed(model, state, f, cap)
 
     def names(mask: StateSet) -> str:
         return "{" + ",".join(model.states_in(mask)) + "}"
@@ -507,7 +506,7 @@ def evaluate_trace(
     op = _OPERATOR[type(f)]
     lines: list[str] = []
     decided = False
-    for c, _, good in root.clause(model.full, f, point):
+    for c, good in weighed:
         parts = " ".join(f"{a}:{names(u)}" for a, u in root.decomposition(model.full, f.group, c))
         lines.append(f"{op} {parts or '{}'} -> {names(c)}: {bool(good)}")
         decided = decided or bool(good) != box

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -15,6 +17,7 @@ from corgal import (
     EpistemicModel,
     Evaluator,
     GroupKnowledgeFormula,
+    Imp,
     Know,
     Not,
     NotQuantified,
@@ -390,3 +393,26 @@ class TestCap:
         assert evaluate(model, "s0", f, cap=2) is False
         assert evaluate(model, "s0", f) is False
 
+
+class TestRecursionDepth:
+    @pytest.mark.parametrize("wrap", [
+        lambda g: CoalDual({"a"}, g),
+        lambda g: Coal({"a"}, g),
+        lambda g: RelGroupDual({"a"}, TOP, g),
+        lambda g: RelGroup({"a"}, TOP, g),
+    ], ids=["<[{a}]>", "[<{a}>]", "<{a}, top>", "[{a}, top]"])
+    def test_a_quantifier_level_costs_at_most_four_frames(self, counterexample, wrap):
+        # 98 nested operators answer within 500 frames: a relativised level
+        # costs three (truth, _compute, fold), a coalition level four, its
+        # inner fold called from the outer fold's loop
+        f = Imp(Know("a", p), p)
+        for _ in range(98):
+            f = wrap(f)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 500)
+        try:
+            verdict = evaluate(counterexample, "pqr", f)
+            assert evaluate_witness(counterexample, "pqr", f).verdict == verdict
+            assert evaluate_trace(counterexample, "pqr", f)[0] == verdict
+        finally:
+            sys.setrecursionlimit(limit)

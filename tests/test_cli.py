@@ -92,6 +92,24 @@ class TestCheck:
                      "--formula", "<{}, top> top"])
         assert code == 0
 
+    @pytest.mark.parametrize("formula, verdict, code", [
+        ("[{a,b,c}, p] ~K c p", "false", 1),
+        ("<{a,b,c}, p> ~K c p", "true", 0),
+    ])
+    def test_condition_missing_the_point_enumerates_nothing(
+        self, train_path, capsys, formula, verdict, code
+    ):
+        # p is false at w, so the condition alone gives the verdict there and
+        # no extension of {a,b,c} is enumerated, not even under a cap of 1
+        query = ["--model", train_path, "--state", "w", "--cap", "1", "--formula", formula]
+        for command, lines in (
+            (["check"], [verdict]),
+            (["check", "--trace"], [verdict]),
+            (["witness"], [verdict, "witness: none"]),
+        ):
+            assert main(command + query) == code
+            assert capsys.readouterr().out.splitlines() == lines
+
     def test_trace(self, counter_path, capsys):
         # the eight extensions of {a,b} that contain pqr, silence first;
         # the fifth, "a knows q", is the witness
