@@ -30,7 +30,8 @@ the cap.
 The quantified operators range over the joint announcements of a group.
 Their truth sets in M|S are the intersections, over the members, of
 unions of each member's blocks widened to whole bisimulation classes of
-M|S (model.refinement, cached per S).  Each distinct such
+M|S (model.refinement, kept on the model per S, so every evaluator of
+the model reads the same classes).  Each distinct such
 intersection, an extension, is enumerated once, S itself first so that
 silence is the first candidate.  Extensions are unions of bisimulation
 classes, so a fold yields a mask over S directly.
@@ -62,9 +63,10 @@ bisimulation classes (model.definable_formula).
 
 Quantifiers over positive bodies enumerate nothing.  A body is positive
 (formula.positive) when it is built from literals, top, bot, &, |, K a
-and [G, top].  In M|S write W_a(s) for the element of saturated(S)[a]
-containing s, and X_G(s) for the meet of W_a(s) over a in G (S for the
-empty group).  The cells of G are the distinct X_G(s); they partition S.
+and [G, top].  In M|S write W_a(s) for the widened block of a that
+refinement(M, S) gives containing s, and X_G(s) for the meet of W_a(s)
+over a in G (S for the empty group).  The cells of G are the distinct
+X_G(s); they partition S.
 
 Lemma (preservation).  For positive f, Y within Z and s in Y:
 s in truth(Z, f) implies s in truth(Y, f).  By induction on f.
@@ -195,8 +197,12 @@ class Evaluator:
     """Shared caches for a batch of queries against related models.
 
     Pure from the outside; results never depend on query order.  The
-    caches of each model are keyed on the model object itself, which the
-    evaluator keeps for its lifetime.
+    truth sets and extensions of each model are keyed on the model object
+    itself, which the evaluator keeps for its lifetime; they stay per
+    evaluator, since the cap can refuse an extension.  The bisimulation
+    classes of each domain are kept on the model (model.refinement) and
+    shared by every evaluator: computing them never counts against the
+    cap, so no verdict depends on which evaluator asked first.
 
     An evaluator does not check f's symbols against the model.  An
     undeclared agent or atom raises UndeclaredSymbol only where the focus
@@ -233,7 +239,6 @@ class _Root:
         self.agents = frozenset(model.agents)
         # (known, value): f decided on `known`, value = truth & known
         self._truth: dict[tuple[StateSet, Formula], tuple[StateSet, StateSet]] = {}
-        self._saturated: dict[StateSet, dict[str, tuple[StateSet, ...]]] = {}
         self._extensions: dict[tuple[StateSet, frozenset[str]], list[StateSet]] = {}
 
     def truth(self, domain: StateSet, f: Formula, focus: StateSet) -> StateSet:
@@ -301,14 +306,6 @@ class _Root:
             return self.fold(domain, f.group, chi, box, f.sub, need, others, positive(f.sub))
         raise TypeError(f"not a formula: {f!r}")
 
-    def saturated(self, domain: StateSet) -> dict[str, tuple[StateSet, ...]]:
-        """Each agent's blocks of M|domain widened to whole bisimulation
-        classes of M|domain, in the order refinement() split them."""
-        hit = self._saturated.get(domain)
-        if hit is None:
-            hit = self._saturated[domain] = refinement(self.model, domain)[1]
-        return hit
-
     def extensions(self, domain: StateSet, group: frozenset[str]) -> list[StateSet]:
         """The distinct non-empty truth sets, in M|domain, of the joint
         announcements of `group`: domain (silence) first, then in the
@@ -317,14 +314,14 @@ class _Root:
         hit = self._extensions.get(key)
         if hit is not None:
             return hit
-        saturated = self.saturated(domain)
+        widened = refinement(self.model, domain)[1]
         found = [domain]
         for agent in [a for a in self.model.agents if a in group]:
-            n_unions = (1 << len(saturated[agent])) - 1
+            n_unions = (1 << len(widened[agent])) - 1
             if n_unions > self.cap:
                 raise EnumerationCapExceeded(n_unions, self.cap)
             # by lowest state, which fixes the order of extensions
-            unions = block_unions(sorted(saturated[agent], key=lambda w: w & -w))
+            unions = block_unions(sorted(widened[agent], key=lambda w: w & -w))
             seen: dict[StateSet, None] = {}
             for e in found:
                 seen.update(dict.fromkeys([e & u for u in unions]))
@@ -338,10 +335,10 @@ class _Root:
     def cells(self, domain: StateSet, group: frozenset[str]) -> list[StateSet]:
         """The cells of `group` in M|domain: the distinct X_G(s), each the
         smallest extension containing its states.  They partition domain."""
-        saturated = self.saturated(domain)
+        widened = refinement(self.model, domain)[1]
         cells = [domain]
         for agent in [a for a in self.model.agents if a in group]:
-            cells = [part for c in cells for w in saturated[agent] if (part := c & w)]
+            cells = [part for c in cells for w in widened[agent] if (part := c & w)]
         return cells
 
     def decomposition(
@@ -350,9 +347,9 @@ class _Root:
         """R_a(extension) for each member a, in model order: the union of
         a's widened blocks that meet the extension.  Their intersection
         is the extension."""
-        saturated = self.saturated(domain)
+        widened = refinement(self.model, domain)[1]
         return tuple(
-            (a, sum(u for u in saturated[a] if u & extension))
+            (a, sum(u for u in widened[a] if u & extension))
             for a in self.model.agents
             if a in group
         )

@@ -57,18 +57,18 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="evaluate a formula at a state")
-    check.add_argument("--model", required=True, help="path to a model document")
-    check.add_argument("--state", help="evaluation state (default: the designated state)")
-    check.add_argument("--formula", help="formula text (default: read from stdin)")
-    check.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help=_CAP_HELP)
-    check.add_argument("--trace", action="store_true", help="print the quantifier trace")
+    # the options of a query, which check and witness share
+    query = argparse.ArgumentParser(add_help=False)
+    query.add_argument("--model", required=True, help="path to a model document")
+    query.add_argument("--state", help="evaluation state (default: the designated state)")
+    query.add_argument("--formula", help="formula text (default: read from stdin)")
+    query.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help=_CAP_HELP)
 
-    witness = sub.add_parser("witness", help="evaluate a quantified formula and print the witness")
-    witness.add_argument("--model", required=True)
-    witness.add_argument("--state")
-    witness.add_argument("--formula")
-    witness.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, help=_CAP_HELP)
+    check = sub.add_parser("check", parents=[query], help="evaluate a formula at a state")
+    check.add_argument("--trace", action="store_true", help="print the quantifier trace")
+    sub.add_parser(
+        "witness", parents=[query], help="evaluate a quantified formula and print the witness"
+    )
 
     contract_cmd = sub.add_parser("contract", help="write the bisimulation contraction")
     contract_cmd.add_argument("--model", required=True)

@@ -7,8 +7,10 @@ Bisimulation classes are computed in one place, refinement(): partition
 refinement on masks over any restriction M|S, which gives the classes of
 every round and each agent's blocks widened to the final classes, in the
 order it split them.  Every restriction starts from the model's valuation
-partition, computed once and kept on the model, as is the refinement of
-the whole model.  The refinement stops as soon as every state is its own
+partition, computed once and kept on the model, and the refinement of
+each restriction is kept on the model too, one entry per domain S, so
+every evaluator of the model reads the same classes and none computes
+them twice.  The refinement stops as soon as every state is its own
 class: distinct blocks meet disjoint singleton classes, so no region
 merges blocks and no class splits, and the widened blocks are the blocks
 themselves.  The checker's quantifiers read it directly and fix their own
@@ -87,10 +89,8 @@ class EpistemicModel:
     undeclared state.
     """
 
-    # the states split by the valuation, and refinement(model, model.full);
-    # both filled on first use
+    # the states split by the valuation, filled on first use
     _by_valuation = None
-    _refined = None
 
     def __init__(
         self,
@@ -112,6 +112,8 @@ class EpistemicModel:
         self.n = len(self.states)
         self.full: StateSet = (1 << self.n) - 1
         self._index = {name: i for i, name in enumerate(self.states)}
+        # refinement(model, S) for every S it was asked
+        self._refinements: dict[StateSet, tuple] = {}
 
         missing = sorted(set(self.agents) - set(partitions))
         if missing:
@@ -229,12 +231,14 @@ def refinement(
     partition is stable and its widened blocks are the agents' blocks
     themselves: distinct blocks of one agent meet disjoint sets of
     singleton classes, so no region merges two blocks and no class
-    splits.  The valuation partition and the refinement of the whole
-    model are computed once and kept on the model, which is immutable;
-    callers must not change what they get.
+    splits.  The valuation partition and the refinement of each domain
+    are computed once and kept on the model, which is immutable, so every
+    evaluator of the model shares them; callers must not change what they
+    get.
     """
-    if domain == model.full and model._refined is not None:
-        return model._refined
+    hit = model._refinements.get(domain)
+    if hit is not None:
+        return hit
     classes = [part for c in _valuation_partition(model) if (part := c & domain)]
     rounds = [classes]
     blocks = [[b & domain for b in model.blocks(a) if b & domain] for a in model.agents]
@@ -262,8 +266,7 @@ def refinement(
         regions_by_agent = blocks
     # on stable classes each region is the union of the classes its blocks meet
     result = rounds, {a: tuple(regions) for a, regions in zip(model.agents, regions_by_agent)}
-    if domain == model.full:
-        model._refined = result
+    model._refinements[domain] = result
     return result
 
 

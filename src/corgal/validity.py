@@ -208,14 +208,13 @@ def _gen_group_knowledge(
     group: frozenset[str],
     atoms: tuple[str, ...],
     agents: tuple[str, ...],
-    depth: int = 2,
 ) -> GroupKnowledgeFormula:
     bindings = []
     for agent in sorted(group):
         if rng.random() < 0.25:
             bindings.append((agent, TOP))
         else:
-            bindings.append((agent, _gen(rng, Stratum.EL, depth, atoms, agents)))
+            bindings.append((agent, _gen(rng, Stratum.EL, 2, atoms, agents)))
     return GroupKnowledgeFormula(tuple(bindings))
 
 
@@ -681,17 +680,14 @@ def run_translation_and_measure_suite(cfg: SuiteConfig) -> SuiteReport:
     behind the well-founded order."""
     report = SuiteReport("translation-measures", 0)
     rng = random.Random(cfg.seed)
-    model: EpistemicModel | None = None
-    ev = Evaluator(cap=cfg.enumeration_cap)
     agents = tuple(f"a{i}" for i in range(_N_AGENTS))
     atoms = tuple(f"p{i}" for i in range(_N_ATOMS))
     triples = 0
     measure_instances = 0
 
     for i in range(cfg.model_count):
-        if model is None or i % 5 == 0:
-            n = max(rng.randint(1, cfg.max_states), rng.randint(1, cfg.max_states))
-            model = random_model(rng.randrange(2**32), n, _N_AGENTS, _N_ATOMS)
+        if i % 5 == 0:
+            model = next(_models(cfg, rng))
             ev = Evaluator(cap=cfg.enumeration_cap)
         f = _gen(rng, Stratum.PAL, rng.randint(1, _FORMULA_DEPTH), model.atoms, model.agents)
         translated = pal_to_el(f)

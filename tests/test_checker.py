@@ -29,6 +29,7 @@ from corgal import (
     UndeclaredSymbol,
     characteristic_formulas,
     contract,
+    counterexample_model,
     definable_formula,
     evaluate,
     evaluate_coalition_alt,
@@ -357,6 +358,22 @@ class TestEvaluatorReuse:
             w = rng.choice(m.states)
             assert ev.holds(m, w, f) == evaluate(m, w, f)
             assert ev.truth_set(m, f) == truth_set(m, f)
+
+    def test_one_refinement_per_domain_whichever_evaluator_asks(self, monkeypatch):
+        # every refinement starts from the valuation partition, so counting
+        # its calls counts the refinements actually computed
+        calls = []
+        partition = corgal.model._valuation_partition
+        monkeypatch.setattr(
+            corgal.model, "_valuation_partition", lambda m: calls.append(m) or partition(m)
+        )
+        model = counterexample_model()
+        f = parse_formula(f"<[{{a}}]> <[{{b}}]> ({GOAL})")
+        verdict = Evaluator().holds(model, "pqr", f)
+        assert calls
+        calls.clear()
+        assert Evaluator(cap=100).holds(model, "pqr", f) == verdict
+        assert calls == []
 
 
 class TestCap:
