@@ -50,12 +50,13 @@ anything if the condition settles it.  A level costs three Python frames
 (truth, _compute, fold), a coalition level four, as the inner fold is
 called from the outer one's loop: 98 nested operators need about 300
 and 400 frames of the default limit of 1,000.
-evaluate_witness and evaluate_trace weigh the top-level extensions at the
-point with the fold's weights (_pointed), none when the condition misses
-the point.  The first stops at the first deciding extension, the second
-weighs every extension for check --trace.  The witness for an extension
-X is its canonical decomposition R_a(X), the union of member a's widened
-blocks that meet X.  Each member announces a smallest epistemic formula
+evaluate_witness and evaluate_trace make the fold call check makes at
+the point (_pointed), and have the top-level fold list each announcement
+it weighs with its weight there; the fold stops at the first that
+decides the verdict.  check --trace prints the list, and the last entry,
+if it decides, gives the witness.  The witness for an extension X is its
+canonical decomposition R_a(X), the union of member a's widened blocks
+that meet X.  Each member announces a smallest epistemic formula
 true exactly on R_a(X), found by a size-ordered search over the root
 model's truth sets; only when that search exceeds its budget does the
 witness fall back to the characteristic formulas of the model's
@@ -108,9 +109,9 @@ positive body, _Root.options hands it the cells where the clause asks
 for some announcement (a diamond fold) and silence alone where it asks
 for every one (a box fold), so `some` is always `not box`.  That needs
 one truth set per cell instead of one per pair of option and response,
-and no cap.  evaluate_witness and evaluate_trace still weigh the
-extensions of their top-level operator, so the witness and the trace do
-not change; the quantifiers below it take the collapse through truth().
+and no cap.  The witness and the trace read the same options: a positive
+diamond is witnessed by R_a(X_G(s)), since the cell is an extension (the
+Fact), and a positive box is refuted by silence or not at all.
 
 Only [G, top] extends the fragment.  On random_model(533214, 5, 3, 2),
 whose five states are pairwise non-bisimilar, <[{a0}]> (K a2 p0 | ~p1),
@@ -122,7 +123,6 @@ operators and <G,chi> over positive bodies are not preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .formula import (
     And,
@@ -388,11 +388,14 @@ class _Root:
         need: StateSet,
         others: frozenset[str] | None,
         collapse: bool,
+        weighed: list[tuple[StateSet, StateSet]] | None = None,
     ) -> StateSet:
         """[group, chi] sub (box) or <group, chi> sub (diamond) in
         M|domain, on the states of `need`.  Each announcement c is weighed
         on the states of its scope it can still change: by sub in M|scope,
-        or with `others` by their dual fold with condition c (axiom A11)."""
+        or with `others` by their dual fold with condition c (axiom A11).
+        Given `weighed`, each c weighed is appended to it with `good`, the
+        states it was weighed on where the clause holds for c."""
         res = need & chi if box else need & ~chi
         done = 0 if box else need
         if res == done:
@@ -406,6 +409,8 @@ class _Root:
                 good = self.truth(scope, sub, here)
             else:
                 good = self.fold(domain, others, scope, not box, sub, here, None, collapse)
+            if weighed is not None:
+                weighed.append((c, good))
             res = (res & ~here) | good if box else res | good
             if res == done:
                 break
@@ -428,32 +433,22 @@ def evaluate(
 
 def _pointed(
     model: EpistemicModel, state: str, f: Formula, cap: int
-) -> tuple[_Root, bool, bool, Iterator[tuple[StateSet, StateSet]]]:
-    """The set-up evaluate_witness and evaluate_trace share: the root of a
-    fresh evaluator, whether the condition alone gives the point f's
-    verdict, whether f is a box, and (c, good) for each extension c whose
-    scope contains the point, weighed there as fold weighs it; none when
-    the condition misses the point."""
+) -> tuple[_Root, bool, bool, list[tuple[StateSet, StateSet]]]:
+    """The query evaluate_witness and evaluate_trace share, the fold
+    check makes at the point, on a fresh evaluator: its root, f's verdict,
+    whether f is a box, and (c, good) for each announcement the top-level
+    fold weighed, in order.  The fold stops at the first that decides the
+    verdict, so only the last entry can decide; none is weighed when the
+    condition alone decides."""
     if not isinstance(f, _QUANTIFIED):
         raise NotQuantified("the outermost operator is not a quantified announcement")
     check_symbols(model, f)
     root = _Root(model, cap)
     point = 1 << model.state_index(state)
     chi, box, others = root.quantifier(model.full, f)
-
-    def weighed() -> Iterator[tuple[StateSet, StateSet]]:
-        if not chi & point:
-            return
-        for c in root.extensions(model.full, f.group):
-            scope = c & chi
-            if not scope & point:
-                continue
-            if others is None:
-                yield c, root.truth(scope, f.sub, point)
-            else:
-                yield c, root.fold(model.full, others, scope, not box, f.sub, point, None, False)
-
-    return root, bool(chi & point) == box, box, weighed()
+    weighed: list[tuple[StateSet, StateSet]] = []
+    verdict = root.fold(model.full, f.group, chi, box, f.sub, point, others, positive(f.sub), weighed)
+    return root, bool(verdict), box, weighed
 
 
 def evaluate_witness(
@@ -465,24 +460,24 @@ def evaluate_witness(
     A witness exists when the verdict hinges on one choice: an existential
     that succeeds, or a universal refuted by a specific announcement.
     Vacuous verdicts (condition false at the point) carry none.  The
-    extensions are weighed in evaluate_trace's order, and the first that
-    decides the verdict gives the witness; none after it is weighed.  The
-    witness is checked before it is returned: announcing it in place of
-    the quantifier, through a fresh evaluator, must replay the decision,
-    or WitnessCheckFailed is raised.
+    witness is the announcement that decided the top-level fold, the last
+    that evaluate_trace lists: over a positive body the cell X_G(s) of a
+    diamond or silence of a box, otherwise the first deciding extension.
+    The witness is checked before it is returned: announcing it in place
+    of the quantifier, through a fresh evaluator, must replay the
+    decision, or WitnessCheckFailed is raised.
     """
-    root, held, box, weighed = _pointed(model, state, f, cap)
-    deciding = next((c for c, good in weighed if bool(good) != box), None)
-    if deciding is None:
-        return WitnessReport(held, None)
+    root, verdict, box, weighed = _pointed(model, state, f, cap)
+    if not weighed or bool(weighed[-1][1]) == box:
+        return WitnessReport(verdict, None)
 
+    deciding = weighed[-1][0]
     witness = definable_formula(model, root.decomposition(model.full, f.group, deciding))
     # announcing the witness in place of the quantifier replays the decision
     recheck = reduction(f, witness.denotation(), model.agents)
     if evaluate(model, state, recheck, cap=cap) != (not box):
         raise WitnessCheckFailed("witness self-check failed")
-    # a deciding announcement flips the verdict the base gives the point
-    return WitnessReport(not held, witness)
+    return WitnessReport(verdict, witness)
 
 
 _OPERATOR = {RelGroup: "[G,chi]", RelGroupDual: "<G,chi>", Coal: "[<G>]", CoalDual: "<[G]>"}
@@ -491,20 +486,21 @@ _OPERATOR = {RelGroup: "[G,chi]", RelGroupDual: "<G,chi>", Coal: "[<G>]", CoalDu
 def evaluate_trace(
     model: EpistemicModel, state: str, f: Formula, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> tuple[bool, list[str]]:
-    """Evaluate a quantified operator and list every announcement it weighs
-    at the point: one line per distinct extension X whose scope contains
-    the point, silence first, with X's decomposition R_a(X) and whether
-    the clause holds there."""
-    root, held, box, weighed = _pointed(model, state, f, cap)
+    """Evaluate a quantified operator and list the announcements its
+    top-level fold weighs at the point, in order, up to the one that
+    decides the verdict: one line per announcement X, with its
+    decomposition R_a(X) and whether the clause holds there.  Over a
+    positive body that is the cell X_G(s) of a diamond or silence of a
+    box, otherwise the distinct extensions whose scope contains the
+    point, silence first."""
+    root, verdict, _, weighed = _pointed(model, state, f, cap)
 
     def names(mask: StateSet) -> str:
         return "{" + ",".join(model.states_in(mask)) + "}"
 
     op = _OPERATOR[type(f)]
     lines: list[str] = []
-    decided = False
     for c, good in weighed:
         parts = " ".join(f"{a}:{names(u)}" for a, u in root.decomposition(model.full, f.group, c))
         lines.append(f"{op} {parts or '{}'} -> {names(c)}: {bool(good)}")
-        decided = decided or bool(good) != box
-    return held != decided, lines
+    return verdict, lines

@@ -221,13 +221,18 @@ class TestWitnesses:
         assert not verdict
         assert lines  # the single full-union candidate was examined
 
-    def test_trivial_diamond_witnessed_by_silence(self, train, counterexample):
+    def test_trivial_diamond_witnessed_by_the_cell(self, train, counterexample):
+        # top is positive, so the diamond weighs the cell of the point
+        # alone: each member announces its block of the point, the models
+        # being contracted
         for m, w in ((train, "w"), (counterexample, "pqr")):
+            assert contract(m)[0].n == m.n
             report = evaluate_witness(m, w, RelGroupDual({"a", "b"}, TOP, TOP))
             assert report.verdict
             assert report.witness is not None
-            for _, body in report.witness.bindings:
-                assert truth_set(m, body) == m.full
+            point = 1 << m.state_index(w)
+            for a, body in report.witness.bindings:
+                assert truth_set(m, body) == next(b for b in m.blocks(a) if b & point)
 
     def test_group_diamond_prefers_silence(self, train):
         report = evaluate_witness(
@@ -241,13 +246,14 @@ class TestWitnesses:
         verdict, lines = evaluate_trace(counterexample, "pqr", f)
         assert verdict
         targets = [line.rsplit(" -> ", 1)[1].split(": ")[0] for line in lines]
-        assert len(targets) == len(set(targets)) == 8
+        assert len(targets) == len(set(targets)) == 5
         assert targets[0] == "{" + ",".join(counterexample.states) + "}"
-        # the witness names the first extension that decides the verdict
-        deciding = next(t for t, line in zip(targets, lines) if line.endswith(": True"))
+        # the trace stops at the first extension that decides the verdict,
+        # and the witness names it
+        assert [line.endswith(": True") for line in lines] == [False] * 4 + [True]
         witness = evaluate_witness(counterexample, "pqr", f).witness
         got = truth_set(counterexample, witness.denotation())
-        assert "{" + ",".join(counterexample.states_in(got)) + "}" == deciding
+        assert "{" + ",".join(counterexample.states_in(got)) + "}" == targets[-1]
 
     def test_vacuous_group_box_failure_has_no_witness(self, train):
         # condition is false at w, so the box fails without a refuting choice
@@ -323,9 +329,10 @@ class TestWitnesses:
         # the search exceeds its default budget here, so each member
         # announces the balanced disjunction of its classes' characteristic
         # formulas, in the order of their lowest states, the quotient's
-        # state order
+        # state order; the body is not positive, so the extension announced
+        # is not the cell of s0, whose blocks the search finds
         m = random_model(3, 20, 3, 1)
-        f = parse_formula("<{a0}, top> (K a1 p0 | K a2 ~p0)")
+        f = parse_formula("<{a0}, top> ((K a1 p0 | K a2 ~p0) & ~K a0 p0)")
         report = evaluate_witness(m, "s0", f)
         assert report.verdict and report.witness is not None  # and self-checked
         quotient, _ = contract(m)
@@ -409,6 +416,44 @@ class TestCap:
             truth_set(model, f, cap=2)
         assert evaluate(model, "s0", f, cap=2) is False
         assert evaluate(model, "s0", f) is False
+
+    def test_check_trace_and_witness_agree_under_the_cap(self):
+        # all three run the fold check runs, with its collapse and its
+        # focus, so at every cap they give one verdict or all hit the cap
+        rng = random.Random(5)
+        bodies = [parse_formula(text) for text in (
+            "K a1 p0 | K a2 ~p0", "K a0 p1 & (p0 | K a2 p0)",  # positive
+            "(K a1 p0 | p1) & ~K a2 p0", "~K a0 p0 | K a1 p1",  # mixed
+        )]
+        p0 = Atom("p0")
+        shapes = [
+            lambda g, body: RelGroup(g, TOP, body),
+            lambda g, body: RelGroupDual(g, TOP, body),
+            lambda g, body: RelGroupDual(g, p0, body),
+            lambda g, body: Coal(g, body),
+            lambda g, body: CoalDual(g, body),
+        ]
+        runs = [
+            evaluate,
+            lambda *args, **kw: evaluate_trace(*args, **kw)[0],
+            lambda *args, **kw: evaluate_witness(*args, **kw).verdict,
+        ]
+        refused = 0
+        for _ in range(400):
+            m = random_model(rng.randrange(2**32), rng.randint(3, 6), 3, 2)
+            g = frozenset(rng.sample(m.agents, rng.randint(1, 3)))
+            f = rng.choice(shapes)(g, rng.choice(bodies))
+            w = rng.choice(m.states)
+            cap = rng.randint(1, 12)
+            answers = []
+            for run in runs:
+                try:
+                    answers.append(run(m, w, f, cap=cap))
+                except EnumerationCapExceeded:
+                    answers.append(None)
+            assert answers in ([True] * 3, [False] * 3, [None] * 3), (m, w, str(f), cap)
+            refused += answers[0] is None
+        assert 0 < refused < 400
 
 
 class TestRecursionDepth:

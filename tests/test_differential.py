@@ -11,7 +11,9 @@ enumeration.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
+from operator import and_
 from random import Random
 
 import pytest
@@ -247,34 +249,50 @@ def pointed_cases(model: EpistemicModel, group: frozenset[str], body):
 
 
 def test_pointed_path_against_the_reference():
-    # verdict, trace, silence first and witness of evaluate_trace and
-    # evaluate_witness at every point, for a body outside the positive
-    # fragment
-    body = parse_formula("~K a0 p0 | K a1 p0")
+    # verdict, trace and witness of evaluate_trace and evaluate_witness at
+    # every point.  The trace lists the announcements the top-level fold
+    # weighs, each as the reference weighs it, up to the first that
+    # decides the verdict, which is the witness.  Outside the positive
+    # fragment they are the extensions whose scope holds the point,
+    # silence first, all of them when none decides; over a positive body
+    # the one announcement is the cell X_G(s) of a diamond or silence of
+    # a box, and none is weighed where the condition fails
+    bodies = [parse_formula("~K a0 p0 | K a1 p0"), parse_formula("K a0 p0 | K a1 p0")]
     groups = [frozenset(), frozenset({"a0"}), frozenset({"a0", "a1"})]
     witnessed = 0
     for model in [*enumerate_small_models(3, 2, 1), *doubled_models()]:
-        for group in groups:
+        for group, body in product(groups, bodies):
+            options = announcements(model, group)
             for f, box, entries in pointed_cases(model, group, body):
                 expected = reference(model, f)
+                relativised = isinstance(f, (RelGroup, RelGroupDual))
+                chi = reference(model, f.cond) if relativised else model.full
                 for i, state in enumerate(model.states):
                     w = 1 << i
                     report = evaluate_witness(model, state, f)
                     verdict, lines = evaluate_trace(model, state, f)
-                    assert report.verdict == verdict == bool(expected & w), (model, state, str(f))
+                    case = (model, state, str(f))
+                    assert report.verdict == verdict == bool(expected & w), case
                     wanted = {x: ok(w) for x, scope, ok in entries if scope & w}
                     got = [_entry(model, line) for line in lines]
-                    assert len(got) == len(wanted) and dict(got) == wanted, (model, state, str(f))
-                    if got:
-                        assert got[0][0] == model.full
-                    deciding = [x for x, ok in got if ok != box]
-                    if not deciding:
-                        assert report.witness is None
+                    assert all(wanted.get(x) == ok for x, ok in got), case
+                    assert len({x for x, _ in got}) == len(got), case
+                    decides = [ok != box for _, ok in got]
+                    assert not any(decides[:-1]), case
+                    if positive(body):
+                        # a diamond's cell: the announcements holding w meet in it
+                        cell = model.full if box else reduce(and_, [x for x in options if x & w])
+                        assert [x for x, _ in got] == ([cell] if chi & w else []), case
+                    else:
+                        assert not got or got[0][0] == model.full, case
+                        if not any(decides):
+                            assert len(got) == len(wanted), case
+                    if not any(decides):
+                        assert report.witness is None, case
                         continue
                     witnessed += 1
-                    # the first deciding entry; evaluate_witness returned, so
-                    # its self-check held
-                    assert truth_set(model, report.witness.denotation()) == deciding[0]
+                    # evaluate_witness returned, so its self-check held
+                    assert truth_set(model, report.witness.denotation()) == got[-1][0], case
     assert witnessed > 1000
 
 
