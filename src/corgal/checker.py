@@ -314,7 +314,7 @@ class _Root:
         hit = self._extensions.get(key)
         if hit is not None:
             return hit
-        widened = refinement(self.model, domain)[1]
+        widened = refinement(self.model, domain)[2]
         found = [domain]
         for agent in [a for a in self.model.agents if a in group]:
             n_unions = (1 << len(widened[agent])) - 1
@@ -335,7 +335,7 @@ class _Root:
     def cells(self, domain: StateSet, group: frozenset[str]) -> list[StateSet]:
         """The cells of `group` in M|domain: the distinct X_G(s), each the
         smallest extension containing its states.  They partition domain."""
-        widened = refinement(self.model, domain)[1]
+        widened = refinement(self.model, domain)[2]
         cells = [domain]
         for agent in [a for a in self.model.agents if a in group]:
             cells = [part for c in cells for w in widened[agent] if (part := c & w)]
@@ -347,7 +347,7 @@ class _Root:
         """R_a(extension) for each member a, in model order: the union of
         a's widened blocks that meet the extension.  Their intersection
         is the extension."""
-        widened = refinement(self.model, domain)[1]
+        widened = refinement(self.model, domain)[2]
         return tuple(
             (a, sum(u for u in widened[a] if u & extension))
             for a in self.model.agents

@@ -10,8 +10,9 @@ measures plus the well-founded order driving the harness are those of
 the desugared formula.  They are computed on the formula itself, without
 building the desugared tree, and kept on each node by a recursive memo,
 as its hash is.  Membership in the positive fragment (positive()), over
-which the checker's quantifiers enumerate nothing, and the tree's height
-(height()), which the parser bounds, are kept on each node too, and
+which the checker's quantifiers enumerate nothing, the tree's height
+(height()), which the parser bounds, and its node count (tree_nodes()),
+which sizes the witness search's budget, are kept on each node too, and
 share one walk that needs no recursion.  reduction() writes once what a
 quantifier becomes when its group's announcement is fixed, for the
 checker's witness check and the harness's axioms.  Leaves are interned:
@@ -53,6 +54,7 @@ class Formula:
     _measure = None
     _positive = None
     _height = None
+    _tree_nodes = None
 
     def __hash__(self) -> int:
         value = self._hash
@@ -313,6 +315,15 @@ def height(f: Formula) -> int:
     value = f._height
     if value is None:
         value = _kept(f, "_height", lambda g, values: 1 + max(values, default=-1))
+    return value
+
+
+def tree_nodes(f: Formula) -> int:
+    """Nodes of f written out as a tree, shared subterms counted at every
+    occurrence.  Kept on each node, and computed without recursion."""
+    value = f._tree_nodes
+    if value is None:
+        value = _kept(f, "_tree_nodes", lambda g, values: 1 + sum(values))
     return value
 
 

@@ -4,11 +4,12 @@ announcements.
 States are indexed and state sets are bitmasks (bit i = state i), which
 keeps announcement updates and the choice-set enumeration cheap.
 Bisimulation classes are computed in one place, refinement(): partition
-refinement on masks over any restriction M|S, which gives the classes of
-every round and each agent's blocks widened to the final classes, in the
-order it split them.  Every restriction starts from the model's valuation
-partition, computed once and kept on the model, and the refinement of
-each restriction is kept on the model too, one entry per domain S, so
+refinement on masks over any restriction M|S, which gives the final
+classes, the number of rounds that split a class, and each agent's
+blocks widened to the final classes, in the order it split them.  Every
+restriction starts from the model's valuation partition, computed once
+and kept on the model, and the refinement of each restriction is kept on
+the model too, one entry per domain S, so
 every evaluator of the model reads the same classes and none computes
 them twice.  The refinement stops as soon as every state is its own
 class: distinct blocks meet disjoint singleton classes, so no region
@@ -16,9 +17,8 @@ merges blocks and no class splits, and the widened blocks are the blocks
 themselves.  The checker's quantifiers read it directly and fix their own
 order.  _quotient() is the one derivation of the whole model's quotient
 from it, classes and quotient blocks ordered by lowest state, and
-contract(), characteristic_formulas() and characteristic_size() read it;
-the last two follow one recurrence over the classes, so neither needs a
-contracted model.  A choice set is one union of equivalence classes per
+contract() and characteristic_formulas() read it, and the latter needs
+no contracted model.  A choice set is one union of equivalence classes per
 group member; on a bisimulation-contracted model these are exactly the
 truth sets of the joint announcements the group operators quantify over.
 definable_formula() turns the members' unions, given as (agent, mask)
@@ -48,6 +48,7 @@ from .formula import (
     Not,
     Or,
     TOP,
+    tree_nodes,
 )
 
 StateSet = int
@@ -55,12 +56,13 @@ StateSet = int
 DEFAULT_ENUMERATION_CAP = 10**6
 
 # The smallest-formula search of definable_formula() builds at most
-# WITNESS_SEARCH_BASE candidate formulas plus WITNESS_SEARCH_PER_NODE per
-# tree node of the characteristic-formula bodies it would replace, then
-# falls back to those bodies.  A candidate costs about as much as a node of
-# the fallback (building, checking, rendering) and the base about its fixed
-# cost, so a search that gives up adds about a quarter to what the
-# fallback costs.
+# WITNESS_SEARCH_BASE candidate formulas; only when that gives up are the
+# characteristic-formula bodies it would replace built, and it goes on to
+# WITNESS_SEARCH_BASE plus WITNESS_SEARCH_PER_NODE per tree node of those
+# bodies, then falls back to them.  A candidate costs about as much as a
+# node of the fallback (building, checking, rendering) and the base about
+# its fixed cost, so a search that gives up adds about a quarter to what
+# the fallback costs.
 WITNESS_SEARCH_BASE = 10_000
 WITNESS_SEARCH_PER_NODE = 0.25
 
@@ -215,17 +217,17 @@ def update(model: EpistemicModel, announcement: StateSet) -> EpistemicModel:
 
 def refinement(
     model: EpistemicModel, domain: StateSet
-) -> tuple[list[list[StateSet]], dict[str, tuple[StateSet, ...]]]:
+) -> tuple[list[StateSet], int, dict[str, tuple[StateSet, ...]]]:
     """Bisimulation classes of M|domain by partition refinement on masks.
 
-    Returns the classes of every round and each agent's blocks of
-    M|domain widened to whole final classes (the blocks of the contracted
-    M|domain, pulled back; one agent's stay disjoint), all in the order
-    the refinement split them; nothing is sorted.  Round 0 is the model's
-    valuation partition restricted to domain; a round splits states whose
-    blocks meet different classes of the round before, for all agents at
-    once, so the number of rounds is the depth the characteristic
-    formulas need.
+    Returns the final classes, the number of rounds that split a class,
+    and each agent's blocks of M|domain widened to whole final classes
+    (the blocks of the contracted M|domain, pulled back; one agent's stay
+    disjoint), all in the order the refinement split them; nothing is
+    sorted.  The refinement starts from the model's valuation partition
+    restricted to domain; a round splits states whose blocks meet
+    different classes of the round before, for all agents at once, so
+    the number of rounds is the depth the characteristic formulas need.
 
     Refinement stops once every state is its own class.  A discrete
     partition is stable and its widened blocks are the agents' blocks
@@ -240,7 +242,7 @@ def refinement(
     if hit is not None:
         return hit
     classes = [part for c in _valuation_partition(model) if (part := c & domain)]
-    rounds = [classes]
+    depth = 0
     blocks = [[b & domain for b in model.blocks(a) if b & domain] for a in model.agents]
     size = domain.bit_count()
     while len(classes) < size:
@@ -260,13 +262,13 @@ def refinement(
         if len(refined) == len(classes):
             break
         classes = refined
-        rounds.append(classes)
+        depth += 1
     else:
         # discrete: each block is its own region (see above)
         regions_by_agent = blocks
     # on stable classes each region is the union of the classes its blocks meet
-    result = rounds, {a: tuple(regions) for a, regions in zip(model.agents, regions_by_agent)}
-    model._refinements[domain] = result
+    widened = {a: tuple(regions) for a, regions in zip(model.agents, regions_by_agent)}
+    result = model._refinements[domain] = classes, depth, widened
     return result
 
 
@@ -290,10 +292,10 @@ def _quotient(model: EpistemicModel) -> tuple[list[StateSet], dict[str, list[lis
     """The quotient of the whole model by refinement(model, model.full):
     the final classes ordered by lowest state, each agent's quotient
     blocks as lists of class indices ordered by lowest state, and the
-    number of rounds after round 0.  contract(), characteristic_formulas()
-    and characteristic_size() read it, so it fixes their order."""
-    rounds, widened = refinement(model, model.full)
-    classes = sorted(rounds[-1], key=lambda c: c & -c)
+    number of rounds that split a class.  contract() and
+    characteristic_formulas() read it, so it fixes their order."""
+    final, depth, widened = refinement(model, model.full)
+    classes = sorted(final, key=lambda c: c & -c)
     blocks = {}
     for a in model.agents:
         # each class joins the widened block holding it, so the blocks
@@ -305,7 +307,7 @@ def _quotient(model: EpistemicModel) -> tuple[list[StateSet], dict[str, list[lis
                     members.setdefault(w, []).append(k)
                     break
         blocks[a] = list(members.values())
-    return classes, blocks, len(rounds) - 1
+    return classes, blocks, depth
 
 
 def contract(model: EpistemicModel) -> tuple[EpistemicModel, dict[str, str]]:
@@ -372,36 +374,6 @@ def characteristic_formulas(model: EpistemicModel) -> dict[str, Formula]:
         current = [_join(And, p) for p in parts]
     class_of = {i: k for k, c in enumerate(classes) for i in _bits(c)}
     return {s: current[class_of[i]] for i, s in enumerate(model.states)}
-
-
-def characteristic_size(model: EpistemicModel, targets: Iterable[StateSet]) -> int:
-    """Tree nodes of the characteristic-formula disjunctions that define
-    the targets (unions of bisimulation classes), the bodies
-    definable_formula() falls back to, counted without building them."""
-    classes, blocks, depth = _quotient(model)
-    n_atoms = len(model.atoms)
-    # round 0: one literal per atom (~p has two nodes), joined by &
-    describe = [
-        sum(1 if model.valuation_mask(p) & c else 2 for p in model.atoms) + n_atoms - 1
-        if n_atoms else 1
-        for c in classes
-    ]
-    size = describe
-    for _ in range(depth):
-        previous = size
-        size = list(describe)
-        for agent_blocks in blocks.values():
-            for b in agent_blocks:
-                # ~K a ~f (f + 3 nodes) per member f, K a of their disjunction
-                # (the sum plus one node per member), and one & per part added
-                grown = 2 * sum([previous[k] for k in b]) + 5 * len(b) + 1
-                for k in b:
-                    size[k] += grown
-    nodes = 0
-    for mask in targets:
-        covered = [s for c, s in zip(classes, size) if c & mask]
-        nodes += sum(covered) + len(covered) - 1
-    return nodes
 
 
 def smallest_formulas(
@@ -561,17 +533,19 @@ def definable_formula(
     states.
     """
     masks = [mask for _, mask in parts]
-    nodes = characteristic_size(model, masks)
-    bodies = smallest_formulas(
-        model, masks, int(WITNESS_SEARCH_BASE + WITNESS_SEARCH_PER_NODE * nodes)
-    )
+    bodies = smallest_formulas(model, masks, WITNESS_SEARCH_BASE)
     if bodies is None:
         chars = characteristic_formulas(model)
         # bisimilar states share their class's formula, so dedup keeps one per class
-        bodies = {
+        fallback = {
             mask: _join(Or, list(dict.fromkeys(chars[s] for s in model.states_in(mask))))
             for mask in masks
         }
+        # the search is deterministic, so a larger budget repeats the
+        # first search before it goes on
+        nodes = sum(tree_nodes(fallback[mask]) for mask in masks)
+        budget = int(WITNESS_SEARCH_BASE + WITNESS_SEARCH_PER_NODE * nodes)
+        bodies = smallest_formulas(model, masks, budget) or fallback
     return GroupKnowledgeFormula(tuple((agent, bodies[mask]) for agent, mask in parts))
 
 

@@ -65,7 +65,7 @@ from .model import (
     update,
 )
 from .parser import parse_formula, parse_model, render_formula, render_model
-from .translate import pal_to_el
+from .translate import pal_to_el, reduction_step
 
 HARD_MAX_STATES = 6
 
@@ -250,6 +250,10 @@ _TAUT_TEMPLATES: tuple[Callable[[Formula, Formula, Formula], Formula], ...] = (
 )
 
 
+def _reduction_step_axiom(f: Ann) -> Formula:
+    return Iff(f, reduction_step(f))
+
+
 def _reduction_axiom(
     f: Formula, psi_g: GroupKnowledgeFormula, all_agents: Iterable[str], axiom_id: str
 ) -> Formula:
@@ -283,15 +287,12 @@ AXIOMS: dict[str, Callable[..., Formula]] = {
     "A2": lambda agent, phi: Imp(Know(agent, phi), phi),
     "A3": lambda agent, phi: Imp(Know(agent, phi), Know(agent, Know(agent, phi))),
     "A4": lambda agent, phi: Imp(Not(Know(agent, phi)), Know(agent, Not(Know(agent, phi)))),
-    "A5": lambda phi, atom: Iff(Ann(phi, Atom(atom)), Imp(phi, Atom(atom))),
-    "A6": lambda phi, psi: Iff(Ann(phi, Not(psi)), Imp(phi, Not(Ann(phi, psi)))),
-    "A7": lambda phi, psi, chi: Iff(
-        Ann(phi, And(psi, chi)), And(Ann(phi, psi), Ann(phi, chi))
-    ),
-    "A8": lambda agent, phi, psi: Iff(
-        Ann(phi, Know(agent, psi)), Imp(phi, Know(agent, Ann(phi, psi)))
-    ),
-    "A9": lambda phi, psi, chi: Iff(Ann(phi, Ann(psi, chi)), Ann(And(phi, Ann(phi, psi)), chi)),
+    # [!phi] body <-> its reduction_step, one per shape of the core body
+    "A5": lambda phi, atom: _reduction_step_axiom(Ann(phi, Atom(atom))),
+    "A6": lambda phi, psi: _reduction_step_axiom(Ann(phi, Not(psi))),
+    "A7": lambda phi, psi, chi: _reduction_step_axiom(Ann(phi, And(psi, chi))),
+    "A8": lambda agent, phi, psi: _reduction_step_axiom(Ann(phi, Know(agent, psi))),
+    "A9": lambda phi, psi, chi: _reduction_step_axiom(Ann(phi, Ann(psi, chi))),
     # the relativised operators' reduction reads no other agents
     "A10": lambda group, chi, phi, psi_g: _reduction_axiom(
         RelGroup(group, chi, phi), psi_g, (), "A10"

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from functools import reduce
 
 import pytest
@@ -19,6 +20,8 @@ from corgal import (
     contract,
     definable_formula,
     evaluate,
+    evaluate_witness,
+    parse_formula,
     parse_model,
     random_model,
     render_model,
@@ -26,7 +29,8 @@ from corgal import (
     stratum,
     truth_set,
 )
-from corgal.model import block_unions, characteristic_size, choice_sets, refinement, update
+from corgal.formula import tree_nodes
+from corgal.model import block_unions, choice_sets, refinement, update
 from corgal.validity import enumerate_small_models
 from conftest import models_equal
 from test_differential import doubled_models
@@ -186,20 +190,20 @@ class TestRefinement:
         deepest = 0
         for m in models:
             for domain in range(1, m.full + 1):
-                rounds, widened = refinement(m, domain)
+                classes, depth, widened = refinement(m, domain)
+                rounds = signature_rounds(m, domain)
                 # refinement() keeps the order it splits in; compare as sorted
-                assert [sorted(r) for r in rounds] == [
-                    sorted(r) for r in signature_rounds(m, domain)
-                ], (m, domain)
+                assert sorted(classes) == sorted(rounds[-1]), (m, domain)
+                assert depth == len(rounds) - 1, (m, domain)
                 for a in m.agents:
                     blocks = [b & domain for b in m.blocks(a) if b & domain]
-                    expected = {sum(c for c in rounds[-1] if c & b) for b in blocks}
+                    expected = {sum(c for c in classes if c & b) for b in blocks}
                     assert sorted(widened[a]) == sorted(expected)
-                if len(rounds[-1]) < domain.bit_count():
+                if len(classes) < domain.bit_count():
                     exits["stable"] += 1
                 else:
-                    exits["valuation" if len(rounds) == 1 else "split"] += 1
-                deepest = max(deepest, len(rounds))
+                    exits["valuation" if depth == 0 else "split"] += 1
+                deepest = max(deepest, depth + 1)
         assert min(exits.values()) > 500 and deepest > 4, (exits, deepest)
 
 
@@ -453,26 +457,60 @@ class TestSmallestFormulas:
 
 class TestCharacteristicSize:
     def test_counts_the_fallback_bodies(self, monkeypatch):
-        # on contracted and uncontracted models of up to five refinement rounds
+        # the second search's budget counts the tree nodes of the fallback
+        # bodies, once per member; with a base of 0 and a node each, the
+        # budget is that count, on contracted and uncontracted models of up
+        # to five refinement rounds
+        budgets = []
         monkeypatch.setattr(corgal.model, "WITNESS_SEARCH_BASE", 0)
-        monkeypatch.setattr(corgal.model, "WITNESS_SEARCH_PER_NODE", 0)
+        monkeypatch.setattr(corgal.model, "WITNESS_SEARCH_PER_NODE", 1)
+        monkeypatch.setattr(
+            corgal.model, "smallest_formulas", lambda m, targets, budget: budgets.append(budget)
+        )
         models = list(enumerate_small_models(3, 2, 1))
         models += [random_model(seed, 7, 3, 1) for seed in range(30)]
         checked = 0
         for m in models:
-            for a in m.agents:
-                for u in block_unions(m.blocks(a))[:8]:
-                    body = definable_formula(m, ((a, u),)).bindings[0][1]
-                    assert characteristic_size(m, [u]) == tree_size(body)
+            first, second = m.agents[:2]
+            for u, v in zip(block_unions(m.blocks(first))[:8], block_unions(m.blocks(second))):
+                for parts in (((first, u),), ((first, u), (second, v))):
+                    budgets.clear()
+                    psi = definable_formula(m, parts)
+                    assert budgets == [0, sum(tree_size(body) for _, body in psi.bindings)]
                     checked += 1
         assert checked > 1000
 
-    def test_sums_over_targets(self, counterexample):
-        full, q = counterexample.full, truth_set(counterexample, Atom("q"))
-        assert characteristic_size(counterexample, [full, q]) == (
-            characteristic_size(counterexample, [full]) + characteristic_size(counterexample, [q])
-        )
-        assert characteristic_size(counterexample, []) == 0
+    @pytest.mark.parametrize(
+        "seed, n, formula",
+        [
+            (0, 20, "<{a0}, top> (K a1 p0 | K a2 ~p0)"),
+            (19, 20, "<{a0}, top> ((K a1 p0 | K a2 ~p0) & ~K a0 p0)"),
+            (0, 30, "<{a0}, top> ((K a1 p0 | K a2 ~p0) & ~K a0 p0)"),
+        ],
+    )
+    def test_search_goes_past_the_base_budget(self, monkeypatch, seed, n, formula):
+        # the search gives up at WITNESS_SEARCH_BASE but not at the budget
+        # the fallback's size allows, so the witness is the searched formula
+        m = random_model(seed, n, 3, 1)
+        witness = evaluate_witness(m, "s0", parse_formula(formula)).witness
+        parts = tuple((a, truth_set(m, body)) for a, body in witness.bindings)
+        masks = [u for _, u in parts]
+        assert smallest_formulas(m, masks, corgal.model.WITNESS_SEARCH_BASE) is None
+        searched = smallest_formulas(m, masks, 10**6)
+        assert witness.bindings == tuple((a, searched[u]) for a, u in parts)
+        monkeypatch.setattr(corgal.model, "WITNESS_SEARCH_BASE", 0)
+        monkeypatch.setattr(corgal.model, "WITNESS_SEARCH_PER_NODE", 0)
+        fallback = definable_formula(m, parts)
+        for (_, body), (_, chars) in zip(witness.bindings, fallback.bindings):
+            assert tree_size(body) < tree_size(chars)
+
+    def test_counts_a_shared_dag_without_recursion(self):
+        # higher than the recursion limit, with 2^levels leaves in its tree
+        f = Know("a", Atom("p"))
+        levels = sys.getrecursionlimit() + 100
+        for _ in range(levels):
+            f = And(f, f)
+        assert tree_nodes(f) == 3 * 2**levels - 1
 
 
 class TestRandomModel:
