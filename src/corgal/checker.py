@@ -31,7 +31,7 @@ The quantified operators range over the joint announcements of a group.
 Their truth sets in M|S are the intersections, over the members, of
 unions of each member's blocks widened to whole bisimulation classes of
 M|S (model.refinement, kept on the model per S, so every evaluator of
-the model reads the same classes).  Each distinct such
+the model reads the same widened blocks).  Each distinct such
 intersection, an extension, is enumerated once, S itself first so that
 silence is the first candidate.  Extensions are unions of bisimulation
 classes, so a fold yields a mask over S directly.
@@ -199,10 +199,10 @@ class Evaluator:
     Pure from the outside; results never depend on query order.  The
     truth sets and extensions of each model are keyed on the model object
     itself, which the evaluator keeps for its lifetime; they stay per
-    evaluator, since the cap can refuse an extension.  The bisimulation
-    classes of each domain are kept on the model (model.refinement) and
-    shared by every evaluator: computing them never counts against the
-    cap, so no verdict depends on which evaluator asked first.
+    evaluator, since the cap can refuse an extension.  Every evaluator
+    reads the same widened blocks, kept on the model (model.refinement):
+    computing them never counts against the cap, so no verdict depends
+    on which evaluator asked first.
 
     An evaluator does not check f's symbols against the model.  An
     undeclared agent or atom raises UndeclaredSymbol only where the focus
@@ -314,7 +314,7 @@ class _Root:
         hit = self._extensions.get(key)
         if hit is not None:
             return hit
-        widened = refinement(self.model, domain)[2]
+        widened = refinement(self.model, domain)[1]
         found = [domain]
         for agent in [a for a in self.model.agents if a in group]:
             n_unions = (1 << len(widened[agent])) - 1
@@ -335,7 +335,7 @@ class _Root:
     def cells(self, domain: StateSet, group: frozenset[str]) -> list[StateSet]:
         """The cells of `group` in M|domain: the distinct X_G(s), each the
         smallest extension containing its states.  They partition domain."""
-        widened = refinement(self.model, domain)[2]
+        widened = refinement(self.model, domain)[1]
         cells = [domain]
         for agent in [a for a in self.model.agents if a in group]:
             cells = [part for c in cells for w in widened[agent] if (part := c & w)]
@@ -347,7 +347,7 @@ class _Root:
         """R_a(extension) for each member a, in model order: the union of
         a's widened blocks that meet the extension.  Their intersection
         is the extension."""
-        widened = refinement(self.model, domain)[2]
+        widened = refinement(self.model, domain)[1]
         return tuple(
             (a, sum(u for u in widened[a] if u & extension))
             for a in self.model.agents

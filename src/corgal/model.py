@@ -4,31 +4,31 @@ announcements.
 States are indexed and state sets are bitmasks (bit i = state i), which
 keeps announcement updates and the choice-set enumeration cheap.
 Bisimulation classes are computed in one place, refinement(): partition
-refinement on masks over any restriction M|S, which gives the final
-classes, the number of rounds that split a class, and each agent's
-blocks widened to the final classes, in the order it split them.  Every
-restriction starts from the model's valuation partition, computed once
-and kept on the model, and the refinement of each restriction is kept on
-the model too, one entry per domain S, so
-every evaluator of the model reads the same classes and none computes
-them twice.  The refinement stops as soon as every state is its own
-class: distinct blocks meet disjoint singleton classes, so no region
-merges blocks and no class splits, and the widened blocks are the blocks
-themselves.  The checker's quantifiers read it directly and fix their own
-order.  _quotient() is the one derivation of the whole model's quotient
-from it, classes and quotient blocks ordered by lowest state, and
-contract() and characteristic_formulas() read it, and the latter needs
-no contracted model.  A choice set is one union of equivalence classes per
-group member; on a bisimulation-contracted model these are exactly the
-truth sets of the joint announcements the group operators quantify over.
-definable_formula() turns the members' unions, given as (agent, mask)
-pairs, back into a concrete announcement on any model: a smallest
-epistemic formula per union from smallest_formulas(), or, once that
-search exceeds its budget, the characteristic formulas of the classes
-each union covers.  Every conjunction and disjunction these build is
-joined as a balanced tree (_join), so a formula over k parts nests about
-log2 k levels deep, not k - 1, and stays within the parser's height
-bound where a left-deep chain would not.
+refinement on masks over any restriction M|S, which gives the number of
+rounds that split a class and each agent's blocks widened to the final
+classes, in the order it split them.  Every restriction starts from the
+model's valuation partition, computed once and kept on the model, and
+the refinement of each restriction is kept on the model too, one entry
+per domain S, so every evaluator of the model reads the same widened
+blocks and none computes them twice.  The refinement stops as soon as
+every state is its own class: distinct blocks meet disjoint singleton
+classes, so no region merges blocks and no class splits, and the widened
+blocks are the blocks themselves.  The checker's quantifiers read it
+directly and fix their own order.  _quotient() is the one derivation of
+the whole model's quotient from it, classes (the meet of the valuation
+partition and the widened blocks) and quotient blocks ordered by lowest
+state; contract() and characteristic_formulas() read it, and the latter
+needs no contracted model.  A choice set is one union of equivalence
+classes per group member; on a bisimulation-contracted model these are
+exactly the truth sets of the joint announcements the group operators
+quantify over.  definable_formula() turns the members' unions, given as
+(agent, mask) pairs, back into a concrete announcement on any model: a
+smallest epistemic formula per union from one resumable search, or, once
+that search exceeds its budget, the characteristic formulas of the
+classes each union covers.  Every conjunction and disjunction these build
+is joined as a balanced tree (_join), so a formula over k parts nests
+about log2 k levels deep, not k - 1, and stays within the parser's
+height bound where a left-deep chain would not.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Generator, Iterable, Mapping, Sequence
 
 from .formula import (
     And,
@@ -57,12 +57,12 @@ DEFAULT_ENUMERATION_CAP = 10**6
 
 # The smallest-formula search of definable_formula() builds at most
 # WITNESS_SEARCH_BASE candidate formulas; only when that gives up are the
-# characteristic-formula bodies it would replace built, and it goes on to
-# WITNESS_SEARCH_BASE plus WITNESS_SEARCH_PER_NODE per tree node of those
-# bodies, then falls back to them.  A candidate costs about as much as a
-# node of the fallback (building, checking, rendering) and the base about
-# its fixed cost, so a search that gives up adds about a quarter to what
-# the fallback costs.
+# characteristic-formula bodies it would replace built, and the same
+# search resumes up to WITNESS_SEARCH_BASE plus WITNESS_SEARCH_PER_NODE
+# per tree node of those bodies, then falls back to them.  A candidate
+# costs about as much as a node of the fallback (building, checking,
+# rendering) and the base about its fixed cost, so a search that gives up
+# adds about a quarter to what the fallback costs.
 WITNESS_SEARCH_BASE = 10_000
 WITNESS_SEARCH_PER_NODE = 0.25
 
@@ -217,17 +217,20 @@ def update(model: EpistemicModel, announcement: StateSet) -> EpistemicModel:
 
 def refinement(
     model: EpistemicModel, domain: StateSet
-) -> tuple[list[StateSet], int, dict[str, tuple[StateSet, ...]]]:
+) -> tuple[int, dict[str, tuple[StateSet, ...]]]:
     """Bisimulation classes of M|domain by partition refinement on masks.
 
-    Returns the final classes, the number of rounds that split a class,
-    and each agent's blocks of M|domain widened to whole final classes
-    (the blocks of the contracted M|domain, pulled back; one agent's stay
-    disjoint), all in the order the refinement split them; nothing is
-    sorted.  The refinement starts from the model's valuation partition
-    restricted to domain; a round splits states whose blocks meet
-    different classes of the round before, for all agents at once, so
-    the number of rounds is the depth the characteristic formulas need.
+    Returns the number of rounds that split a class and each agent's
+    blocks of M|domain widened to whole final classes (the blocks of the
+    contracted M|domain, pulled back; one agent's stay disjoint), in the
+    order the refinement split them; nothing is sorted.  The classes are
+    not kept: they are the meet of the valuation partition and the
+    widened blocks, since states agreeing on both have blocks meeting
+    the same classes, which makes that meet a bisimulation.  The
+    refinement starts from the valuation partition restricted to domain;
+    a round splits states whose blocks meet different classes of the
+    round before, for all agents at once, so the number of rounds is the
+    depth the characteristic formulas need.
 
     Refinement stops once every state is its own class.  A discrete
     partition is stable and its widened blocks are the agents' blocks
@@ -268,7 +271,7 @@ def refinement(
         regions_by_agent = blocks
     # on stable classes each region is the union of the classes its blocks meet
     widened = {a: tuple(regions) for a, regions in zip(model.agents, regions_by_agent)}
-    result = model._refinements[domain] = classes, depth, widened
+    result = model._refinements[domain] = depth, widened
     return result
 
 
@@ -290,12 +293,16 @@ def _first(mask: StateSet) -> int:
 
 def _quotient(model: EpistemicModel) -> tuple[list[StateSet], dict[str, list[list[int]]], int]:
     """The quotient of the whole model by refinement(model, model.full):
-    the final classes ordered by lowest state, each agent's quotient
-    blocks as lists of class indices ordered by lowest state, and the
-    number of rounds that split a class.  contract() and
-    characteristic_formulas() read it, so it fixes their order."""
-    final, depth, widened = refinement(model, model.full)
-    classes = sorted(final, key=lambda c: c & -c)
+    the classes, the meet of the valuation partition and the widened
+    blocks, and each agent's quotient blocks as lists of class indices,
+    both ordered by lowest state, and the number of rounds that split a
+    class.  contract() and characteristic_formulas() read it, so it
+    fixes their order."""
+    depth, widened = refinement(model, model.full)
+    classes = _valuation_partition(model)
+    for a in model.agents:
+        classes = [part for c in classes for w in widened[a] if (part := c & w)]
+    classes = sorted(classes, key=lambda c: c & -c)
     blocks = {}
     for a in model.agents:
         # each class joins the widened block holding it, so the blocks
@@ -389,6 +396,15 @@ def smallest_formulas(
     must be a union of bisimulation classes, as every epistemic truth
     set is; no quotient model is needed.
     """
+    return next(_search(model, targets, budget))
+
+
+def _search(
+    model: EpistemicModel, targets: Iterable[StateSet], budget: int
+) -> Generator[dict[StateSet, Formula] | None, int, None]:
+    """smallest_formulas() as a generator: it yields the formulas, or None
+    where it would pass `budget`; sent a larger budget there, it goes on
+    as a search from scratch with that budget would."""
     wanted = set(targets)
     full = model.full
     agent_blocks = [(a, model.blocks(a)) for a in model.agents]
@@ -403,9 +419,11 @@ def smallest_formulas(
             levels[1].append(mask)
     work = 2 + len(model.atoms) if wanted else 0
     last_grown = 1
-    while work <= budget:
+    while True:
+        while work > budget:
+            budget = yield None
         if wanted <= recipe.keys():
-            return _build_formulas(recipe, wanted)
+            break
         n = len(levels)
         if n > 2 * last_grown + 1:
             raise ValueError("a target is not a union of bisimulation classes")
@@ -429,8 +447,8 @@ def smallest_formulas(
             for k, x in enumerate(left):
                 others = right[k:] if left is right else right
                 work += 2 * len(others)
-                if work > budget:
-                    return None
+                while work > budget:
+                    budget = yield None
                 for y in others:
                     m = x & y
                     if m not in recipe:
@@ -443,7 +461,7 @@ def smallest_formulas(
         if level:
             last_grown = n
         levels.append(level)
-    return None
+    yield _build_formulas(recipe, wanted)
 
 
 def _build_formulas(
@@ -503,12 +521,12 @@ def choice_sets(
         raise ValueError(f"unknown agent {unknown!r} in group")
     if not members:
         return [ChoiceSet((), (), model.full)]
-    per_agent = [block_unions(model.blocks(a)) for a in members]
     total = 1
-    for options in per_agent:
-        total *= len(options)
+    for a in members:
+        total *= (1 << len(model.blocks(a))) - 1
     if total > cap:
         raise EnumerationCapExceeded(total, cap, "choice-set decompositions")
+    per_agent = [block_unions(model.blocks(a)) for a in members]
     out = []
     for combo in product(*per_agent):
         extension = model.full
@@ -526,14 +544,15 @@ def definable_formula(
     member, on any model.
 
     Each agent's knowledge part has exactly that agent's union as truth
-    set.  Each agent announces a smallest formula for its union
-    (smallest_formulas); once that search exceeds its budget, the
-    balanced disjunction of the characteristic formulas of the
-    bisimulation classes its union covers, in the order of their lowest
-    states.
+    set.  Each agent announces a smallest formula for its union, from
+    one search (_search) that resumes past WITNESS_SEARCH_BASE; once it
+    exceeds the larger budget too, the balanced disjunction of the
+    characteristic formulas of the bisimulation classes its union
+    covers, in the order of their lowest states.
     """
     masks = [mask for _, mask in parts]
-    bodies = smallest_formulas(model, masks, WITNESS_SEARCH_BASE)
+    search = _search(model, masks, WITNESS_SEARCH_BASE)
+    bodies = next(search)
     if bodies is None:
         chars = characteristic_formulas(model)
         # bisimilar states share their class's formula, so dedup keeps one per class
@@ -541,11 +560,10 @@ def definable_formula(
             mask: _join(Or, list(dict.fromkeys(chars[s] for s in model.states_in(mask))))
             for mask in masks
         }
-        # the search is deterministic, so a larger budget repeats the
-        # first search before it goes on
+        # the search resumes where it gave up, up to the larger budget
         nodes = sum(tree_nodes(fallback[mask]) for mask in masks)
         budget = int(WITNESS_SEARCH_BASE + WITNESS_SEARCH_PER_NODE * nodes)
-        bodies = smallest_formulas(model, masks, budget) or fallback
+        bodies = search.send(budget) or fallback
     return GroupKnowledgeFormula(tuple((agent, bodies[mask]) for agent, mask in parts))
 
 
@@ -565,27 +583,28 @@ def random_model(seed: int, n_states: int, n_agents: int, n_atoms: int) -> Epist
 
 def _uniform_set_partition(rng: random.Random, items: Sequence[str]) -> list[list[str]]:
     """Uniform over all set partitions, by counting restricted growth
-    strings: d(n, m) extensions remain for n items after m blocks exist."""
+    strings: d(r, m) = m d(r-1, m) + d(r-1, m+1) extensions remain for r
+    items after m blocks exist, d(0, m) = 1.  Built up once for the Bell
+    numbers d(r, 0), the rows are walked down, one per item, by
+    d(r-1, m+1) = d(r, m) - m d(r-1, m): one row is kept, nothing recurses."""
     n = len(items)
-    d: dict[tuple[int, int], int] = {}
-
-    def count(remaining: int, m: int) -> int:
-        if remaining == 0:
-            return 1
-        key = (remaining, m)
-        if key not in d:
-            d[key] = m * count(remaining - 1, m) + count(remaining - 1, m + 1)
-        return d[key]
-
+    row = [1] * (n + 1)
+    bells = [1]
+    for r in range(1, n + 1):
+        row = [m * row[m] + row[m + 1] for m in range(n - r + 1)]
+        bells.append(row[0])
     blocks: list[list[str]] = []
     for idx, item in enumerate(items):
-        remaining = n - idx - 1
+        # row holds d(n - idx, m) for m <= idx; below holds d(n - idx - 1, m)
+        below = [bells[n - idx - 1]]
+        for m in range(idx + 1):
+            below.append(row[m] - m * below[m])
         m = len(blocks)
-        # each existing block weighs count(remaining, m); the rest of the
-        # draws open a new block
-        k = rng.randrange(count(remaining + 1, m)) // count(remaining, m)
+        # each existing block weighs below[m]; the rest of the draws open a new block
+        k = rng.randrange(row[m]) // below[m]
         if k < m:
             blocks[k].append(item)
         else:
             blocks.append([item])
+        row = below
     return blocks

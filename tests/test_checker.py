@@ -368,7 +368,8 @@ class TestEvaluatorReuse:
 
     def test_one_refinement_per_domain_whichever_evaluator_asks(self, monkeypatch):
         # every refinement starts from the valuation partition, so counting
-        # its calls counts the refinements actually computed
+        # its calls counts the refinements actually computed; _quotient
+        # reads it too, so the query stays off the witness path
         calls = []
         partition = corgal.model._valuation_partition
         monkeypatch.setattr(

@@ -190,14 +190,20 @@ class TestRefinement:
         deepest = 0
         for m in models:
             for domain in range(1, m.full + 1):
-                classes, depth, widened = refinement(m, domain)
+                depth, widened = refinement(m, domain)
                 rounds = signature_rounds(m, domain)
-                # refinement() keeps the order it splits in; compare as sorted
-                assert sorted(classes) == sorted(rounds[-1]), (m, domain)
+                classes = rounds[-1]
+                # the bisimulation classes are the meet of the valuation
+                # partition, round 0, and every agent's widened blocks
+                meet = rounds[0]
+                for a in m.agents:
+                    meet = [part for c in meet for w in widened[a] if (part := c & w)]
+                assert sorted(meet) == sorted(classes), (m, domain)
                 assert depth == len(rounds) - 1, (m, domain)
                 for a in m.agents:
                     blocks = [b & domain for b in m.blocks(a) if b & domain]
                     expected = {sum(c for c in classes if c & b) for b in blocks}
+                    # refinement() keeps the order it splits in; compare as sorted
                     assert sorted(widened[a]) == sorted(expected)
                 if len(classes) < domain.bit_count():
                     exits["stable"] += 1
@@ -312,6 +318,20 @@ class TestChoiceSets:
     def test_unknown_agent(self, counterexample):
         with pytest.raises(ValueError, match="unknown agent"):
             choice_sets(counterexample, {"zz"})
+
+    def test_cap_is_checked_before_any_union_is_built(self, monkeypatch):
+        # one agent with 20 singleton blocks has 2^20 - 1 unions
+        calls = []
+        unions = corgal.model.block_unions
+        monkeypatch.setattr(
+            corgal.model, "block_unions", lambda blocks: calls.append(blocks) or unions(blocks)
+        )
+        names = [f"s{i}" for i in range(20)]
+        m = EpistemicModel(names, ["a"], ["p"], {"a": [[s] for s in names]}, {"p": names})
+        message = "^1048575 choice-set decompositions exceed the cap of 10$"
+        with pytest.raises(EnumerationCapExceeded, match=message):
+            choice_sets(m, {"a"}, cap=10)
+        assert calls == []
 
 
 class TestDefinableFormula:
@@ -455,18 +475,31 @@ class TestSmallestFormulas:
             smallest_formulas(m, [m.state_mask(["x"])], budget=10**6)
 
 
+# witness queries whose search gives up at WITNESS_SEARCH_BASE but not at
+# the budget the fallback's size allows
+PAST_THE_BASE = [
+    (0, 20, "<{a0}, top> (K a1 p0 | K a2 ~p0)"),
+    (19, 20, "<{a0}, top> ((K a1 p0 | K a2 ~p0) & ~K a0 p0)"),
+    (0, 30, "<{a0}, top> ((K a1 p0 | K a2 ~p0) & ~K a0 p0)"),
+]
+
+
 class TestCharacteristicSize:
     def test_counts_the_fallback_bodies(self, monkeypatch):
-        # the second search's budget counts the tree nodes of the fallback
-        # bodies, once per member; with a base of 0 and a node each, the
-        # budget is that count, on contracted and uncontracted models of up
-        # to five refinement rounds
+        # the budget the search resumes with counts the tree nodes of the
+        # fallback bodies, once per member; with a base of 0 and a node
+        # each, the budget is that count, on contracted and uncontracted
+        # models of up to five refinement rounds
         budgets = []
+
+        def gives_up(m, targets, budget):
+            while True:
+                budgets.append(budget)
+                budget = yield None
+
         monkeypatch.setattr(corgal.model, "WITNESS_SEARCH_BASE", 0)
         monkeypatch.setattr(corgal.model, "WITNESS_SEARCH_PER_NODE", 1)
-        monkeypatch.setattr(
-            corgal.model, "smallest_formulas", lambda m, targets, budget: budgets.append(budget)
-        )
+        monkeypatch.setattr(corgal.model, "_search", gives_up)
         models = list(enumerate_small_models(3, 2, 1))
         models += [random_model(seed, 7, 3, 1) for seed in range(30)]
         checked = 0
@@ -480,14 +513,7 @@ class TestCharacteristicSize:
                     checked += 1
         assert checked > 1000
 
-    @pytest.mark.parametrize(
-        "seed, n, formula",
-        [
-            (0, 20, "<{a0}, top> (K a1 p0 | K a2 ~p0)"),
-            (19, 20, "<{a0}, top> ((K a1 p0 | K a2 ~p0) & ~K a0 p0)"),
-            (0, 30, "<{a0}, top> ((K a1 p0 | K a2 ~p0) & ~K a0 p0)"),
-        ],
-    )
+    @pytest.mark.parametrize("seed, n, formula", PAST_THE_BASE)
     def test_search_goes_past_the_base_budget(self, monkeypatch, seed, n, formula):
         # the search gives up at WITNESS_SEARCH_BASE but not at the budget
         # the fallback's size allows, so the witness is the searched formula
@@ -503,6 +529,22 @@ class TestCharacteristicSize:
         fallback = definable_formula(m, parts)
         for (_, body), (_, chars) in zip(witness.bindings, fallback.bindings):
             assert tree_size(body) < tree_size(chars)
+
+    @pytest.mark.parametrize("seed, n, formula", PAST_THE_BASE)
+    def test_one_search_per_witness(self, monkeypatch, seed, n, formula):
+        # the search that gives up at WITNESS_SEARCH_BASE resumes at the
+        # larger budget; it is started once, not again from scratch
+        starts = []
+        search = corgal.model._search
+
+        def counted(m, targets, budget):
+            starts.append(budget)
+            return search(m, targets, budget)
+
+        monkeypatch.setattr(corgal.model, "_search", counted)
+        report = evaluate_witness(random_model(seed, n, 3, 1), "s0", parse_formula(formula))
+        assert report.witness is not None
+        assert starts == [corgal.model.WITNESS_SEARCH_BASE]
 
     def test_counts_a_shared_dag_without_recursion(self):
         # higher than the recursion limit, with 2^levels leaves in its tree
@@ -527,6 +569,10 @@ class TestRandomModel:
         assert digest.hexdigest() == (
             "58dfe903f26df5e4f6c78e8b8c4e26909ad0c532c0d12196dd117ca5e0d796d8"
         )
+
+    def test_more_states_than_the_recursion_limit(self):
+        # the partition counts are built without recursing once per state
+        assert random_model(0, 1200, 1, 1).n == 1200
 
     def test_minimal(self):
         m = random_model(0, 1, 1, 1)
