@@ -22,10 +22,8 @@ focus each part of f is asked:
 Each (S, f) has one entry (known, value) in _truth: the states of S
 where f is decided, and the truth set within them.  A query computes
 only focus & ~known and adds it to both; once `known` is S, every later
-query of (S, f) is answered from the entry.  extensions() stays
-eager: every visited domain has all its extensions enumerated, but a
-domain the focus never reaches is never visited, nor counted against
-the cap.
+query of (S, f) is answered from the entry.  A domain the focus never
+reaches is never visited, nor counted against the cap.
 
 The quantified operators range over the joint announcements of a group.
 Their truth sets in M|S are the intersections, over the members, of
@@ -34,7 +32,15 @@ M|S (model.refinement, kept on the model per S, so every evaluator of
 the model reads the same widened blocks).  Each distinct such
 intersection, an extension, is enumerated once, S itself first so that
 silence is the first candidate.  Extensions are unions of bisimulation
-classes, so a fold yields a mask over S directly.
+classes, so a fold yields a mask over S directly.  A fold asked at one
+state s weighs only the extensions that contain s, and only those are
+enumerated: by the Fact below they are the meets of unions U_a that each
+hold W_a(s), so each member a contributes the 2^(k-1) unions of its k
+widened blocks that hold W_a(s), not all 2^k - 1.  The list is the full
+one filtered to s, in the same order, and is kept per (S, G, s); a full
+list already kept for (S, G) is filtered instead.  The cap counts the
+distinct extensions enumerated, so a pointed fold counts only those that
+contain its point.
 
 One fold, _Root.fold, evaluates all four operators.  On the states F it
 is asked, [G,chi] f starts from F & chi and loses those where f fails in
@@ -112,6 +118,15 @@ one truth set per cell instead of one per pair of option and response,
 and no cap.  The witness and the trace read the same options: a positive
 diamond is witnessed by R_a(X_G(s)), since the cell is an extension (the
 Fact), and a positive box is refuted by silence or not at all.
+
+Corollary (silence first).  For positive f, every s in truth(chi, f)
+holds <G,chi> f and <[G]> f (chi = S): silence is an announcement, and
+by the lemma s keeps f in each smaller scope, the cell X_G(s) & chi and
+every response alike.  So _compute asks a positive-body diamond's body
+in M|chi on need & chi first and hands the fold only the rest; the cells,
+and the refinement of S they need, are computed only where silence
+fails.  _pointed calls the fold directly, so the top-level weighing that
+the trace and the witness read keeps the cell.
 
 Only [G, top] extends the fragment.  On random_model(533214, 5, 3, 2),
 whose five states are pairwise non-bisimilar, <[{a0}]> (K a2 p0 | ~p1),
@@ -239,7 +254,7 @@ class _Root:
         self.agents = frozenset(model.agents)
         # (known, value): f decided on `known`, value = truth & known
         self._truth: dict[tuple[StateSet, Formula], tuple[StateSet, StateSet]] = {}
-        self._extensions: dict[tuple[StateSet, frozenset[str]], list[StateSet]] = {}
+        self._extensions: dict[tuple[StateSet, frozenset[str], StateSet], list[StateSet]] = {}
 
     def truth(self, domain: StateSet, f: Formula, focus: StateSet) -> StateSet:
         """States of `focus` where f holds in the model restricted to
@@ -303,25 +318,43 @@ class _Root:
             return self.truth(s, f.sub, need & s) if s else 0
         if isinstance(f, _QUANTIFIED):
             chi, box, others = self.quantifier(domain, f)
-            return self.fold(domain, f.group, chi, box, f.sub, need, others, positive(f.sub))
+            collapse = positive(f.sub)
+            silent = 0
+            if collapse and not box:
+                # silence settles the diamond wherever the body holds in
+                # M|chi (the lemma), so no cell is weighed there
+                silent = self.truth(chi, f.sub, need & chi)
+                need &= ~silent
+            return silent | self.fold(domain, f.group, chi, box, f.sub, need, others, collapse)
         raise TypeError(f"not a formula: {f!r}")
 
-    def extensions(self, domain: StateSet, group: frozenset[str]) -> list[StateSet]:
+    def extensions(
+        self, domain: StateSet, group: frozenset[str], point: StateSet = 0
+    ) -> list[StateSet]:
         """The distinct non-empty truth sets, in M|domain, of the joint
         announcements of `group`: domain (silence) first, then in the
-        order of their first decomposition in choice_sets()."""
-        key = (domain, group)
+        order of their first decomposition in choice_sets().  Given a
+        point, a state of domain, only those that contain it, in the same
+        order: per member a, the unions that hold W_a(point)."""
+        key = (domain, group, point)
         hit = self._extensions.get(key)
         if hit is not None:
             return hit
+        if point:
+            full = self._extensions.get((domain, group, 0))
+            if full is not None:
+                return [e for e in full if e & point]
         widened = refinement(self.model, domain)[1]
         found = [domain]
         for agent in [a for a in self.model.agents if a in group]:
-            n_unions = (1 << len(widened[agent])) - 1
+            k = len(widened[agent])
+            n_unions = 1 << (k - 1) if point else (1 << k) - 1
             if n_unions > self.cap:
                 raise EnumerationCapExceeded(n_unions, self.cap)
             # by lowest state, which fixes the order of extensions
             unions = block_unions(sorted(widened[agent], key=lambda w: w & -w))
+            if point:
+                unions = [u for u in unions if u & point]
             seen: dict[StateSet, None] = {}
             for e in found:
                 seen.update(dict.fromkeys([e & u for u in unions]))
@@ -361,7 +394,9 @@ class _Root:
         it is a box, and the agents whose dual fold weighs each announcement
         (None for the relativised operators)."""
         relativised = isinstance(f, (RelGroup, RelGroupDual))
-        chi = self.truth(domain, f.cond, domain) if relativised else domain
+        # a condition top is the domain itself, and keeps no entry per scope
+        asks = relativised and not isinstance(f.cond, Top)
+        chi = self.truth(domain, f.cond, domain) if asks else domain
         unknown = f.group - self.agents
         if unknown:
             raise UndeclaredSymbol(f"unknown agent {sorted(unknown)[0]!r}")
@@ -369,13 +404,15 @@ class _Root:
         return chi, isinstance(f, (RelGroup, Coal)), others
 
     def options(
-        self, domain: StateSet, group: frozenset[str], some: bool, collapse: bool
+        self, domain: StateSet, group: frozenset[str], some: bool, collapse: bool, need: StateSet
     ) -> list[StateSet]:
-        """The announcements of `group` a fold weighs in M|domain: every
-        extension, or with `collapse` (a positive body) the cells when
-        `some` and silence alone otherwise (see the module docstring)."""
+        """The announcements of `group` a fold asked on `need` weighs in
+        M|domain: every extension, only those containing the point when
+        need is one state, or with `collapse` (a positive body) the cells
+        when `some` and silence alone otherwise (see the module
+        docstring)."""
         if not collapse:
-            return self.extensions(domain, group)
+            return self.extensions(domain, group, 0 if need & (need - 1) else need)
         return self.cells(domain, group) if some else [domain]
 
     def fold(
@@ -400,7 +437,7 @@ class _Root:
         done = 0 if box else need
         if res == done:
             return res
-        for c in self.options(domain, group, not box, collapse):
+        for c in self.options(domain, group, not box, collapse, need):
             scope = c & chi
             here = scope & res if box else scope & need & ~res
             if not here:

@@ -44,8 +44,8 @@ EXIT_SUITE_FAILURE = 4
 EXIT_INTERNAL_ERROR = 5
 
 _CAP_HELP = (
-    "most distinct group extensions one quantifier may enumerate "
-    f"(default {DEFAULT_ENUMERATION_CAP})"
+    "most distinct group extensions one quantifier may enumerate; asked at "
+    f"one state, it enumerates only those containing it (default {DEFAULT_ENUMERATION_CAP})"
 )
 
 

@@ -69,8 +69,9 @@ WITNESS_SEARCH_PER_NODE = 0.25
 
 class EnumerationCapExceeded(Exception):
     """Raised instead of silently truncating an enumeration of group
-    announcements.  The evaluator counts distinct group extensions;
-    choice_sets() counts decompositions."""
+    announcements.  The evaluator counts the distinct group extensions it
+    enumerates, which at a single asked state are only those containing
+    it; choice_sets() counts decompositions."""
 
     def __init__(self, requested: int, cap: int, unit: str = "distinct group extensions"):
         self.requested = requested

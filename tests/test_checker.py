@@ -383,6 +383,21 @@ class TestEvaluatorReuse:
         assert Evaluator(cap=100).holds(model, "pqr", f) == verdict
         assert calls == []
 
+    def test_silence_settles_a_nested_positive_diamond_without_refining(self, monkeypatch):
+        # K a q holds at pqr, so by the preservation lemma it holds there in
+        # every scope the outer box weighs, and silence settles the inner
+        # diamond: only the model itself is refined, for the outer box's
+        # extensions, and none of its 8 scopes that contain pqr
+        calls = []
+        partition = corgal.model._valuation_partition
+        monkeypatch.setattr(
+            corgal.model, "_valuation_partition", lambda m: calls.append(m) or partition(m)
+        )
+        model = counterexample_model()
+        f = parse_formula("[{a,b}, top] <{c}, top> K a q")
+        assert Evaluator().holds(model, "pqr", f)
+        assert len(calls) == 1
+
 
 class TestCap:
     def test_cap_propagates(self, counterexample):
@@ -391,11 +406,22 @@ class TestCap:
             evaluate(counterexample, "pqr", f, cap=5)
 
     def test_cap_counts_distinct_extensions(self, counterexample):
-        # {a,b} has 49 decompositions but 13 distinct extensions
+        # {a,b} has 49 decompositions but 13 distinct extensions; the whole
+        # truth set is asked on every state, so it enumerates all of them
         f = parse_formula(f"<[{{a,b}}]> ({GOAL})")
-        assert evaluate(counterexample, "pqr", f, cap=13)
+        assert truth_set(counterexample, f, cap=13) == truth_set(counterexample, f)
         with pytest.raises(EnumerationCapExceeded, match="distinct group extensions"):
-            evaluate(counterexample, "pqr", f, cap=12)
+            truth_set(counterexample, f, cap=12)
+
+    def test_cap_counts_the_extensions_containing_the_point(self, counterexample):
+        # a fold asked at one state enumerates only the 8 of the 13
+        # extensions that contain it
+        f = parse_formula(f"<[{{a,b}}]> ({GOAL})")
+        assert evaluate(counterexample, "pqr", f, cap=8)
+        with pytest.raises(
+            EnumerationCapExceeded, match="^8 distinct group extensions exceed the cap of 7$"
+        ):
+            evaluate(counterexample, "pqr", f, cap=7)
 
     def test_generous_cap_is_fine(self, counterexample):
         f = parse_formula(f"<[{{a,b}}]> ({GOAL})")

@@ -12,7 +12,7 @@ enumeration.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from operator import and_
 from random import Random
 
@@ -53,6 +53,7 @@ from corgal import (
     train_model,
     truth_set,
 )
+from corgal.checker import _Root
 from corgal.model import update
 
 GOAL = "K b (p & q & r) & ~K a (p & q & r) & ~K c (p & q & r)"
@@ -393,7 +394,9 @@ def test_positive_bodies_collapse():
     # a quantifier over a positive body weighs one announcement per point:
     # it enumerates nothing, so not even a cap of 1 stops it, and it still
     # agrees with the reference; under an outer quantifier whose body is
-    # not positive the inner one collapses in every restriction weighed
+    # not positive the inner one collapses in every restriction weighed.
+    # Asked at one point, a diamond first asks its body under silence, and
+    # weighs the cells only where that fails
     flat = positive_cases()
     assert all(positive(f.sub) for f in flat)
     nested = [parse_formula(f"<[{{a1}}]> ~({f})") for f in flat[::3]]
@@ -401,9 +404,36 @@ def test_positive_bodies_collapse():
     nested += [parse_formula(f"[<{{a0}}>] ~({f})") for f in flat[2::3]]
     for model in [*enumerate_small_models(3, 2, 1), *doubled_models()]:
         for f in flat:
-            assert truth_set(model, f, cap=1) == reference(model, f), (model, str(f))
+            expected = reference(model, f)
+            assert truth_set(model, f, cap=1) == expected, (model, str(f))
+            for i, state in enumerate(model.states):
+                assert evaluate(model, state, f, cap=1) == bool(expected >> i & 1), (model, state, str(f))
         for f in nested:
-            assert truth_set(model, f) == reference(model, f), (model, str(f))
+            expected = reference(model, f)
+            assert truth_set(model, f) == expected, (model, str(f))
+            for i, state in enumerate(model.states):
+                assert evaluate(model, state, f) == bool(expected >> i & 1), (model, state, str(f))
+
+
+def test_extensions_containing_a_point():
+    # the pointed enumeration is extensions() filtered to the extensions
+    # that contain the point, in the same order, whether it enumerates
+    # them itself or reads the kept full list
+    for model in [*enumerate_small_models(3, 2, 1), *doubled_models()]:
+        groups = [frozenset(g) for k in range(len(model.agents) + 1)
+                  for g in combinations(model.agents, k)]
+        domains = {model.full: None}
+        for agent in model.agents:
+            domains.update(dict.fromkeys(_Root(model, 10**6).extensions(model.full, frozenset({agent}))))
+        for domain, group in product(domains, groups):
+            root = _Root(model, 10**6)
+            points = [1 << i for i in range(model.n) if domain >> i & 1]
+            pointed = {point: root.extensions(domain, group, point) for point in points}
+            full = root.extensions(domain, group)
+            for point in points:
+                expected = [e for e in full if e & point]
+                assert pointed[point] == expected, (model, domain, sorted(group), point)
+                assert root.extensions(domain, group, point) == expected
 
 
 # random_model(533214, 5, 3, 2): five pairwise non-bisimilar states
