@@ -110,23 +110,23 @@ The clauses, for positive f, at s in S (the other agents are G'):
   serves every c by the lemma; X_G'(s) serves whenever any d does.  So
   the union over cells C of G' of truth(C, f): silence is the only
   option needed.
-_Root.fold stays the one implementation of the four clauses; for a
-positive body, _Root.options hands it the cells where the clause asks
-for some announcement (a diamond fold) and silence alone where it asks
-for every one (a box fold), so `some` is always `not box`.  That needs
-one truth set per cell instead of one per pair of option and response,
-and no cap.  The witness and the trace read the same options: a positive
-diamond is witnessed by R_a(X_G(s)), since the cell is an extension (the
-Fact), and a positive box is refuted by silence or not at all.
 
 Corollary (silence first).  For positive f, every s in truth(chi, f)
 holds <G,chi> f and <[G]> f (chi = S): silence is an announcement, and
 by the lemma s keeps f in each smaller scope, the cell X_G(s) & chi and
-every response alike.  So _compute asks a positive-body diamond's body
-in M|chi on need & chi first and hands the fold only the rest; the cells,
-and the refinement of S they need, are computed only where silence
-fails.  _pointed calls the fold directly, so the top-level weighing that
-the trace and the witness read keeps the cell.
+every response alike.
+
+_Root.fold stays the one implementation of the four clauses, and
+_Root.options the one place that orders what it weighs, silence first
+in every fold.  Over a positive body a box fold weighs silence alone,
+and a diamond fold silence and then the cells other than S, yielded
+lazily: by the corollary a state silence settles is asked in no cell,
+and S is refined for its cells only if silence leaves a state open.
+That needs one truth set per cell instead of one per pair of option and
+response, and no cap.  check, the trace and the witness make this one
+fold call: a positive box is refuted by silence or not at all, and a
+positive diamond is witnessed by silence where silence settles it,
+otherwise by R_a(X_G(s)), since the cell is an extension (the Fact).
 
 Only [G, top] extends the fragment.  On random_model(533214, 5, 3, 2),
 whose five states are pairwise non-bisimilar, <[{a0}]> (K a2 p0 | ~p1),
@@ -137,6 +137,7 @@ operators and <G,chi> over positive bodies are not preserved.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .formula import (
@@ -318,24 +319,19 @@ class _Root:
             return self.truth(s, f.sub, need & s) if s else 0
         if isinstance(f, _QUANTIFIED):
             chi, box, others = self.quantifier(domain, f)
-            collapse = positive(f.sub)
-            silent = 0
-            if collapse and not box:
-                # silence settles the diamond wherever the body holds in
-                # M|chi (the lemma), so no cell is weighed there
-                silent = self.truth(chi, f.sub, need & chi)
-                need &= ~silent
-            return silent | self.fold(domain, f.group, chi, box, f.sub, need, others, collapse)
+            return self.fold(domain, f.group, chi, box, f.sub, need, others)
         raise TypeError(f"not a formula: {f!r}")
 
     def extensions(
         self, domain: StateSet, group: frozenset[str], point: StateSet = 0
     ) -> list[StateSet]:
         """The distinct non-empty truth sets, in M|domain, of the joint
-        announcements of `group`: domain (silence) first, then in the
-        order of their first decomposition in choice_sets().  Given a
-        point, a state of domain, only those that contain it, in the same
-        order: per member a, the unions that hold W_a(point)."""
+        announcements of `group`, in the order first met as e & u, for
+        each member a in model order, e in the list of the members
+        before a and u in block_unions of a's widened blocks by lowest
+        state; so domain (silence) comes first.  Given a point, a state
+        of domain, only those that contain it, in the same order: per
+        member a, the unions that hold W_a(point)."""
         key = (domain, group, point)
         hit = self._extensions.get(key)
         if hit is not None:
@@ -404,16 +400,19 @@ class _Root:
         return chi, isinstance(f, (RelGroup, Coal)), others
 
     def options(
-        self, domain: StateSet, group: frozenset[str], some: bool, collapse: bool, need: StateSet
-    ) -> list[StateSet]:
+        self, domain: StateSet, group: frozenset[str], box: bool, sub: Formula, need: StateSet
+    ) -> Iterator[StateSet]:
         """The announcements of `group` a fold asked on `need` weighs in
-        M|domain: every extension, only those containing the point when
-        need is one state, or with `collapse` (a positive body) the cells
-        when `some` and silence alone otherwise (see the module
-        docstring)."""
-        if not collapse:
-            return self.extensions(domain, group, 0 if need & (need - 1) else need)
-        return self.cells(domain, group) if some else [domain]
+        M|domain, silence (domain) first.  Over a positive sub, silence
+        alone for a box and then the other cells for a diamond, refined
+        only if the fold reads past silence (see the module docstring);
+        else every extension, only those containing a one-state need."""
+        if not positive(sub):
+            yield from self.extensions(domain, group, 0 if need & (need - 1) else need)
+            return
+        yield domain
+        if not box:
+            yield from (c for c in self.cells(domain, group) if c != domain)
 
     def fold(
         self,
@@ -424,7 +423,6 @@ class _Root:
         sub: Formula,
         need: StateSet,
         others: frozenset[str] | None,
-        collapse: bool,
         weighed: list[tuple[StateSet, StateSet]] | None = None,
     ) -> StateSet:
         """[group, chi] sub (box) or <group, chi> sub (diamond) in
@@ -437,7 +435,7 @@ class _Root:
         done = 0 if box else need
         if res == done:
             return res
-        for c in self.options(domain, group, not box, collapse, need):
+        for c in self.options(domain, group, box, sub, need):
             scope = c & chi
             here = scope & res if box else scope & need & ~res
             if not here:
@@ -445,7 +443,7 @@ class _Root:
             if others is None:
                 good = self.truth(scope, sub, here)
             else:
-                good = self.fold(domain, others, scope, not box, sub, here, None, collapse)
+                good = self.fold(domain, others, scope, not box, sub, here, None)
             if weighed is not None:
                 weighed.append((c, good))
             res = (res & ~here) | good if box else res | good
@@ -484,7 +482,7 @@ def _pointed(
     point = 1 << model.state_index(state)
     chi, box, others = root.quantifier(model.full, f)
     weighed: list[tuple[StateSet, StateSet]] = []
-    verdict = root.fold(model.full, f.group, chi, box, f.sub, point, others, positive(f.sub), weighed)
+    verdict = root.fold(model.full, f.group, chi, box, f.sub, point, others, weighed)
     return root, bool(verdict), box, weighed
 
 
@@ -498,8 +496,9 @@ def evaluate_witness(
     that succeeds, or a universal refuted by a specific announcement.
     Vacuous verdicts (condition false at the point) carry none.  The
     witness is the announcement that decided the top-level fold, the last
-    that evaluate_trace lists: over a positive body the cell X_G(s) of a
-    diamond or silence of a box, otherwise the first deciding extension.
+    that evaluate_trace lists: over a positive body silence, or a
+    diamond's cell X_G(s) where silence leaves the point open; otherwise
+    the first deciding extension.
     The witness is checked before it is returned: announcing it in place
     of the quantifier, through a fresh evaluator, must replay the
     decision, or WitnessCheckFailed is raised.
@@ -526,10 +525,10 @@ def evaluate_trace(
     """Evaluate a quantified operator and list the announcements its
     top-level fold weighs at the point, in order, up to the one that
     decides the verdict: one line per announcement X, with its
-    decomposition R_a(X) and whether the clause holds there.  Over a
-    positive body that is the cell X_G(s) of a diamond or silence of a
-    box, otherwise the distinct extensions whose scope contains the
-    point, silence first."""
+    decomposition R_a(X) and whether the clause holds there.  Silence
+    comes first, followed over a positive body only by a diamond's cell
+    X_G(s) where silence leaves the point open, otherwise by the other
+    extensions whose scope contains the point."""
     root, verdict, _, weighed = _pointed(model, state, f, cap)
 
     def names(mask: StateSet) -> str:

@@ -221,18 +221,18 @@ class TestWitnesses:
         assert not verdict
         assert lines  # the single full-union candidate was examined
 
-    def test_trivial_diamond_witnessed_by_the_cell(self, train, counterexample):
-        # top is positive, so the diamond weighs the cell of the point
-        # alone: each member announces its block of the point, the models
-        # being contracted
+    def test_trivial_diamond_witnessed_by_silence(self, train, counterexample):
+        # top is positive and holds under silence, so the diamond weighs
+        # silence alone and refines nothing: each member announces the
+        # whole model, not its block of the point
         for m, w in ((train, "w"), (counterexample, "pqr")):
             assert contract(m)[0].n == m.n
             report = evaluate_witness(m, w, RelGroupDual({"a", "b"}, TOP, TOP))
             assert report.verdict
             assert report.witness is not None
-            point = 1 << m.state_index(w)
+            assert [a for a, _ in report.witness.bindings] == ["a", "b"]
             for a, body in report.witness.bindings:
-                assert truth_set(m, body) == next(b for b in m.blocks(a) if b & point)
+                assert truth_set(m, body) == m.full
 
     def test_group_diamond_prefers_silence(self, train):
         report = evaluate_witness(
@@ -397,6 +397,34 @@ class TestEvaluatorReuse:
         f = parse_formula("[{a,b}, top] <{c}, top> K a q")
         assert Evaluator().holds(model, "pqr", f)
         assert len(calls) == 1
+
+    def test_check_and_the_pointed_fold_fill_the_same_truth_entries(self):
+        # check asks the quantifier through truth, check --trace and
+        # witness through _pointed; both make one fold call, so they weigh
+        # the same announcements in the same scopes and leave the same
+        # truth entries, apart from check's entry for the query itself
+        rng = random.Random(28)
+        bodies = ["K a1 p0 | K a2 ~p0", "K a0 p1 & (p0 | K a2 p0)", "p1 | [{a2}, top] K a0 p0"]
+        shapes = [
+            "<{g}, top> ({b})", "<{g}, p0 | K a1 p1> ({b})", "<[{g}]> ({b})",
+            "<[{g}]> [{o}, top] ({b})", "<[{g}]> <{o}, top> ({b})", "[{g}, ~p1] <[{o}]> ({b})",
+        ]
+        refined = 0  # queries that weigh a scope other than the model
+        for _ in range(300):
+            m = random_model(rng.randrange(2**32), rng.randint(3, 6), 3, 2)
+            g, o = (",".join(sorted(rng.sample(m.agents, rng.randint(1, 3)))) for _ in "go")
+            shape, body = rng.choice(shapes), rng.choice(bodies)
+            f = parse_formula(shape.format(g="{" + g + "}", o="{" + o + "}", b=body))
+            w = rng.choice(m.states)
+            ev = Evaluator()
+            verdict = ev.holds(m, w, f)
+            root, pointed, _, _ = corgal.checker._pointed(m, w, f, ev.cap)
+            assert pointed == verdict, (m, w, str(f))
+            entries = dict(ev._roots[m]._truth)
+            del entries[m.full, f]
+            assert entries == root._truth, (m, w, str(f))
+            refined += any(domain != m.full for domain, _ in entries)
+        assert refined > 100
 
 
 class TestCap:

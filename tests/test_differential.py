@@ -256,8 +256,9 @@ def test_pointed_path_against_the_reference():
     # decides the verdict, which is the witness.  Outside the positive
     # fragment they are the extensions whose scope holds the point,
     # silence first, all of them when none decides; over a positive body
-    # the one announcement is the cell X_G(s) of a diamond or silence of
-    # a box, and none is weighed where the condition fails
+    # a box weighs silence alone, and a diamond silence and then, where
+    # the body fails at the point in M|chi, the cell X_G(s) unless that
+    # is the whole model; none is weighed where the condition fails
     bodies = [parse_formula("~K a0 p0 | K a1 p0"), parse_formula("K a0 p0 | K a1 p0")]
     groups = [frozenset(), frozenset({"a0"}), frozenset({"a0", "a1"})]
     witnessed = 0
@@ -281,9 +282,13 @@ def test_pointed_path_against_the_reference():
                     decides = [ok != box for _, ok in got]
                     assert not any(decides[:-1]), case
                     if positive(body):
-                        # a diamond's cell: the announcements holding w meet in it
-                        cell = model.full if box else reduce(and_, [x for x in options if x & w])
-                        assert [x for x, _ in got] == ([cell] if chi & w else []), case
+                        weighed = []
+                        if chi & w:
+                            # a diamond's cell: the announcements holding w meet in it
+                            cell = reduce(and_, [x for x in options if x & w])
+                            settled = box or cell == model.full or after(model, chi, body) & w
+                            weighed = [model.full] if settled else [model.full, cell]
+                        assert [x for x, _ in got] == weighed, case
                     else:
                         assert not got or got[0][0] == model.full, case
                         if not any(decides):
