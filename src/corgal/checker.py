@@ -158,6 +158,7 @@ from .formula import (
     RelGroup,
     RelGroupDual,
     Top,
+    _QUANTIFIED,
     _collect,
     positive,
     reduction,
@@ -183,9 +184,6 @@ class NotQuantified(Exception):
 
 class WitnessCheckFailed(Exception):
     """A synthesised witness did not confirm the verdict it was built for."""
-
-
-_QUANTIFIED = (RelGroup, RelGroupDual, Coal, CoalDual)
 
 
 def check_symbols(model: EpistemicModel, f: Formula) -> None:

@@ -21,7 +21,7 @@ from .checker import (
     evaluate_trace,
     evaluate_witness,
 )
-from .formula import Coal, CoalDual, RelGroup, RelGroupDual, height
+from .formula import _QUANTIFIED
 from .model import DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded, contract
 from .parser import (
     MAX_NESTING,
@@ -33,7 +33,7 @@ from .parser import (
     render_formula,
     render_model,
 )
-from .translate import StratumError, pal_to_el
+from .translate import StratumError, pal_to_el, translation_size
 from .validity import SUITES, SuiteConfig
 
 EXIT_TRUE = 0
@@ -112,7 +112,7 @@ def _query(args: argparse.Namespace):
 
 def _cmd_check(args: argparse.Namespace) -> int:
     model, state, formula = _query(args)
-    if args.trace and isinstance(formula, (RelGroup, RelGroupDual, Coal, CoalDual)):
+    if args.trace and isinstance(formula, _QUANTIFIED):
         verdict, lines = evaluate_trace(model, state, formula, cap=args.cap)
     else:
         if args.trace:
@@ -154,11 +154,14 @@ def _cmd_contract(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
-    translated = pal_to_el(parse_formula(_formula_text(args)))
-    # print only what check can parse back
-    if height(translated) > MAX_NESTING:
+    formula = parse_formula(_formula_text(args))
+    levels, nodes = translation_size(formula)
+    # print only what check can parse back, and build nothing over the cap
+    if levels > MAX_NESTING:
         raise ValueError(TOO_DEEP)
-    print(render_formula(translated))
+    if nodes > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapExceeded(nodes, DEFAULT_ENUMERATION_CAP, "translation nodes")
+    print(render_formula(pal_to_el(formula)))
     return EXIT_TRUE
 
 

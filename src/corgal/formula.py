@@ -71,7 +71,11 @@ class Formula:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        return _equal(self, other)
+        # nodes built from the same parts are equal without a walk
+        for name in self.__match_args__:
+            if getattr(self, name) is not getattr(other, name):
+                return _equal(self, other)
+        return True
 
     def __str__(self) -> str:
         from .parser import render_formula
@@ -207,6 +211,10 @@ class CoalDual(Formula):
     sub: Formula
 
     __post_init__ = _freeze_group
+
+
+# the quantified announcement operators, boxes and diamonds
+_QUANTIFIED = (RelGroup, RelGroupDual, Coal, CoalDual)
 
 
 def _equal(f: Formula, g: Formula) -> bool:
@@ -505,5 +513,5 @@ def _collect(f: Formula, agents: set[str], atoms: set[str]) -> None:
             atoms.add(g.name)
         elif isinstance(g, Know):
             agents.add(g.agent)
-        elif isinstance(g, (RelGroup, RelGroupDual, Coal, CoalDual)):
+        elif isinstance(g, _QUANTIFIED):
             agents.update(g.group)

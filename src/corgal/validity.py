@@ -4,8 +4,11 @@ infinitary rules, reproduction of the bundled scenarios, and two
 independent oracles: the definability oracle backing the choice-set
 machinery and the coalition operators' group-announcement reformulation.
 
-Every suite is deterministic in (seed, config); failures carry enough
-text to replay them through the parser.
+The axiom, rule and theorem suites share one sampling loop, _sample: it
+seeds the rng, samples the models, opens one Evaluator per model and checks
+every instance that a suite's draw builds from the same rng, one binding at
+a time.  Every suite is deterministic in (seed, config); failures carry
+enough text to replay them through the parser.
 """
 
 from __future__ import annotations
@@ -69,9 +72,6 @@ from .translate import pal_to_el, reduction_step
 
 HARD_MAX_STATES = 6
 
-_AXIOM_BINDINGS_PER_MODEL = 20
-_RULE_BINDINGS_PER_MODEL = 6
-_THEOREM_BINDINGS_PER_MODEL = 2
 _FORMULA_DEPTH = 3
 _N_AGENTS = _N_ATOMS = 3
 
@@ -397,6 +397,24 @@ def _check_valid_on(
         )
 
 
+def _sample(
+    name: str,
+    cfg: SuiteConfig,
+    per_model: int,
+    draw: Callable[[random.Random, EpistemicModel], list[tuple[str, Formula]]],
+) -> SuiteReport:
+    """The schema suites' one loop: per_model calls of draw(rng, model) on
+    each sampled model, each giving one binding's (claim, instance) list."""
+    report = SuiteReport(name, 0)
+    rng = random.Random(cfg.seed)
+    for index, model in enumerate(_models(cfg, rng)):
+        ev = Evaluator(cap=cfg.enumeration_cap)
+        for k in range(per_model):
+            for claim, instance in draw(rng, model):
+                _check_valid_on(ev, model, claim, instance, report, f"model {index}, binding {k}")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -406,20 +424,16 @@ def run_axiom_suite(
     overrides: Mapping[str, Callable[[Mapping[str, object]], Formula]] | None = None,
 ) -> SuiteReport:
     """Every axiom instance must hold at every state of every sampled model."""
-    report = SuiteReport("axioms", 0)
-    rng = random.Random(cfg.seed)
-    for index, model in enumerate(_models(cfg, rng)):
-        ev = Evaluator(cap=cfg.enumeration_cap)
-        for binding_no in range(_AXIOM_BINDINGS_PER_MODEL):
-            bindings = _random_bindings(rng, model)
-            for axiom_id in AXIOM_IDS:
-                builder = overrides.get(axiom_id) if overrides else None
-                instance = builder(bindings) if builder else axiom_instance(axiom_id, bindings)
-                _check_valid_on(
-                    ev, model, axiom_id, instance, report,
-                    f"model {index}, binding {binding_no}",
-                )
-    return report
+    overrides = overrides or {}
+
+    def draw(rng: random.Random, model: EpistemicModel) -> list[tuple[str, Formula]]:
+        bindings = _random_bindings(rng, model)
+        return [
+            (x, overrides[x](bindings) if overrides.get(x) else axiom_instance(x, bindings))
+            for x in AXIOM_IDS
+        ]
+
+    return _sample("axioms", cfg, 20, draw)
 
 
 def run_rule_suite(
@@ -433,40 +447,28 @@ def run_rule_suite(
     valid pool: the operator conjoins its condition, so a rule conclusion
     with a falsifiable condition is itself falsifiable.
     """
-    report = SuiteReport("rules", 0)
-    rng = random.Random(cfg.seed)
-    for index, model in enumerate(_models(cfg, rng)):
-        ev = Evaluator(cap=cfg.enumeration_cap)
-        for binding_no in range(_RULE_BINDINGS_PER_MODEL):
-            bindings = _random_bindings(rng, model)
-            if premises is None:
-                pool = [
-                    axiom_instance(x, bindings)
-                    for x in ("A2", "A6", "A7", "A9", "A10", "A11")
-                ]
-            else:
-                pool = list(premises)
-            if not pool:
-                continue
-            valid_chi = rng.choice([TOP] + pool)
-            conclusions = [
-                ("R0", And(rng.choice(pool), rng.choice(pool))),
-                ("R1", Know(bindings["agent"], rng.choice(pool))),
-                ("R2", Ann(bindings["psi"], rng.choice(pool))),
-                ("R3", RelGroup(bindings["group"], valid_chi, rng.choice(pool))),
-                ("R4", Coal(bindings["group"], rng.choice(pool))),
-            ]
-            base = rng.choice(pool)
-            variant = Not(Not(base)) if rng.random() < 0.5 else And(base, TOP)
-            conclusions.append(
-                ("CL-R1", Iff(CoalDual(bindings["group"], base), CoalDual(bindings["group"], variant)))
-            )
-            for claim, instance in conclusions:
-                _check_valid_on(
-                    ev, model, claim, instance, report,
-                    f"model {index}, binding {binding_no}",
-                )
-    return report
+
+    def draw(rng: random.Random, model: EpistemicModel) -> list[tuple[str, Formula]]:
+        bindings = _random_bindings(rng, model)
+        pool = list(premises) if premises is not None else [
+            axiom_instance(x, bindings) for x in ("A2", "A6", "A7", "A9", "A10", "A11")
+        ]
+        if not pool:
+            return []
+        group = bindings["group"]
+        valid_chi = rng.choice([TOP] + pool)
+        conclusions = [
+            ("R0", And(rng.choice(pool), rng.choice(pool))),
+            ("R1", Know(bindings["agent"], rng.choice(pool))),
+            ("R2", Ann(bindings["psi"], rng.choice(pool))),
+            ("R3", RelGroup(group, valid_chi, rng.choice(pool))),
+            ("R4", Coal(group, rng.choice(pool))),
+        ]
+        base = rng.choice(pool)
+        variant = Not(Not(base)) if rng.random() < 0.5 else And(base, TOP)
+        return conclusions + [("CL-R1", Iff(CoalDual(group, base), CoalDual(group, variant)))]
+
+    return _sample("rules", cfg, 6, draw)
 
 
 def _silence(group: frozenset[str]) -> GroupKnowledgeFormula:
@@ -565,53 +567,26 @@ def run_quantifier_rule_suite(cfg: SuiteConfig) -> SuiteReport:
 def run_theorem_suite(cfg: SuiteConfig) -> SuiteReport:
     """The proved interaction schemas between group and coalition
     announcements, instantiated at random."""
-    report = SuiteReport("theorems", 0)
-    rng = random.Random(cfg.seed)
-    for index, model in enumerate(_models(cfg, rng)):
-        ev = Evaluator(cap=cfg.enumeration_cap)
+
+    def draw(rng: random.Random, model: EpistemicModel) -> list[tuple[str, Formula]]:
         all_agents = frozenset(model.agents)
-        for binding_no in range(_THEOREM_BINDINGS_PER_MODEL):
-            g = _gen_group(rng, model.agents)
-            h = _gen_group(rng, model.agents)
-            phi = _gen(rng, Stratum.PAL, 2, model.atoms, model.agents)
-            schemas = [
-                (
-                    "P3",
-                    Imp(
-                        CoalDual(g, phi),
-                        RelGroupDual(g, TOP, RelGroup(all_agents - g, TOP, phi)),
-                    ),
-                ),
-                ("P4", Imp(CoalDual(g, phi), CoalDual(g | h, phi))),
-                ("P5", Imp(CoalDual(g, CoalDual(g, phi)), Coal(all_agents - g, phi))),
-                (
-                    "P6",
-                    Imp(
-                        CoalDual(g, CoalDual(h, phi)),
-                        Coal(all_agents - (g | h), phi),
-                    ),
-                ),
-                (
-                    "GAL-idem",
-                    Iff(
-                        RelGroupDual(g, TOP, phi),
-                        RelGroupDual(g, TOP, RelGroupDual(g, TOP, phi)),
-                    ),
-                ),
-                (
-                    "GAL-union",
-                    Imp(
-                        RelGroupDual(g, TOP, RelGroupDual(h, TOP, phi)),
-                        RelGroupDual(g | h, TOP, phi),
-                    ),
-                ),
-            ]
-            for claim, instance in schemas:
-                _check_valid_on(
-                    ev, model, claim, instance, report,
-                    f"model {index}, binding {binding_no}",
-                )
-    return report
+        g = _gen_group(rng, model.agents)
+        h = _gen_group(rng, model.agents)
+        phi = _gen(rng, Stratum.PAL, 2, model.atoms, model.agents)
+
+        def some(group: frozenset[str], f: Formula) -> Formula:  # <G, top> f
+            return RelGroupDual(group, TOP, f)
+
+        return [
+            ("P3", Imp(CoalDual(g, phi), some(g, RelGroup(all_agents - g, TOP, phi)))),
+            ("P4", Imp(CoalDual(g, phi), CoalDual(g | h, phi))),
+            ("P5", Imp(CoalDual(g, CoalDual(g, phi)), Coal(all_agents - g, phi))),
+            ("P6", Imp(CoalDual(g, CoalDual(h, phi)), Coal(all_agents - (g | h), phi))),
+            ("GAL-idem", Iff(some(g, phi), some(g, some(g, phi)))),
+            ("GAL-union", Imp(some(g, some(h, phi)), some(g | h, phi))),
+        ]
+
+    return _sample("theorems", cfg, 2, draw)
 
 
 def run_counterexample_repro(counterexample_document: str | None = None) -> SuiteReport:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -385,6 +386,34 @@ class TestTranslate:
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
         assert "nests deeper" in err
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_translations_over_a_million_nodes_are_refused(self, capsys, n):
+        # n nested [! K a p] around K a p translate to 531,440 nodes at
+        # n = 11, printed in 1,889,562 characters, and 1,594,322 at n = 12
+        code = main(["translate", "--formula", "[! K a p] " * n + "K a p"])
+        out, err = capsys.readouterr()
+        if n == 11:
+            assert (code, err, len(out)) == (0, "", 1_889_562)
+            assert out.count("K a") == 3**11
+        else:
+            assert (code, out) == (3, "")
+            assert err == "error: 1594322 translation nodes exceed the cap of 1000000\n"
+
+    @pytest.mark.parametrize("cap, code", [(19_682, 0), (19_681, 3)])
+    def test_the_node_bound_is_inclusive(self, capsys, monkeypatch, cap, code):
+        monkeypatch.setattr("corgal.cli.DEFAULT_ENUMERATION_CAP", cap)
+        text = "[! K a p] " * 8 + "K a p"  # 19,682 nodes
+        assert main(["translate", "--formula", text]) == code
+        out = capsys.readouterr().out
+        assert out == (render_formula(pal_to_el(parse_formula(text))) + "\n" if code == 0 else "")
+
+    def test_the_bound_is_decided_before_building(self, capsys):
+        start = time.perf_counter()
+        code = main(["translate", "--formula", "[! K a p] " * 20 + "K a p"])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert "10460353202 translation nodes exceed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[! p] K a p"] + [
         render_formula(gen_formula(seed, Stratum.PAL, 5, ("p", "q"), ("a", "b")))

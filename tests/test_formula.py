@@ -401,6 +401,19 @@ class TestInterning:
         assert And(p, q) != And(q, p)
         assert len({f, g, Know("b", p)}) == 2
 
+    def test_equal_parts_need_no_walk(self, monkeypatch):
+        walks = []
+        walk = corgal.formula._equal
+        monkeypatch.setattr(corgal.formula, "_equal", lambda f, g: walks.append(f) or walk(f, g))
+        # two nodes built from the same parts are equal without a walk
+        f, g = And(p, q), And(p, q)
+        assert f is not g
+        assert f == g and not walks
+        # a copy that differs one level deeper is still walked, and equal
+        f, g = And(Not(p), q), And(Not(p), q)
+        assert f == g and walks == [f]
+        assert And(Not(p), q) != And(Not(q), q)
+
     def test_pickle_loads_equal_under_another_hash_seed(self):
         f = parse_formula("K a p & q")
         hash(f)

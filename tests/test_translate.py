@@ -11,6 +11,7 @@ from corgal import (
     Bot,
     Coal,
     Formula,
+    Iff,
     Imp,
     Know,
     Not,
@@ -25,6 +26,8 @@ from corgal import (
     stratum,
     truth_set,
 )
+from corgal.formula import height, tree_nodes
+from corgal.translate import translation_size
 from corgal.validity import _gen
 
 from conftest import el_formulas
@@ -108,3 +111,42 @@ class TestTermination:
         # every shape of the core body: leaf, ~, &, K a and [! ]
         assert {type(f.sub) for f, _ in steps} >= {Atom, Top, Not, And, Know, Ann}
         assert len(steps) > 20000
+
+
+def announced_chain(n: int) -> Formula:
+    """n nested [! K a p] around K a p."""
+    f = Know("a", p)
+    for _ in range(n):
+        f = Ann(Know("a", p), f)
+    return f
+
+
+class TestTranslationSize:
+    def test_matches_the_built_translation(self):
+        rng = random.Random(7)
+        for _ in range(2000):
+            f = _gen(rng, Stratum.PAL, rng.randint(1, 5), ("p", "q"), ("a", "b"))
+            g = pal_to_el(f)
+            assert translation_size(f) == (height(g), tree_nodes(g)), render_formula(f)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_on_the_announced_chain(self, n):
+        g = pal_to_el(announced_chain(n))
+        assert translation_size(announced_chain(n)) == (height(g), tree_nodes(g))
+
+    def test_the_announced_chain_grows_threefold(self):
+        # built, n = 12 is 5,668,697 characters
+        sizes = {n: translation_size(announced_chain(n)) for n in (6, 8, 10, 11, 12, 20)}
+        assert sizes == {
+            6: (24, 2_186), 8: (32, 19_682), 10: (40, 177_146), 11: (44, 531_440),
+            12: (48, 1_594_322), 20: (80, 10_460_353_202),
+        }
+
+    def test_shared_subterms_are_walked_once(self):
+        # desugar shares each side of an iff, so this translation has 2^40
+        # leaves in its tree but few distinct nodes
+        f = p
+        for _ in range(40):
+            f = Iff(p, f)
+        assert translation_size(f) == (height(desugar(f)), tree_nodes(desugar(f)))
+        assert translation_size(f)[1] > 2**40

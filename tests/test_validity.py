@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -37,6 +38,7 @@ from corgal import (
     stratum,
 )
 from corgal.formula import Formula
+from corgal.model import DEFAULT_ENUMERATION_CAP
 from corgal.validity import HARD_MAX_STATES
 
 p, q = Atom("p"), Atom("q")
@@ -231,6 +233,50 @@ class TestRuleSuite:
         report = run_rule_suite(SuiteConfig(model_count=5, seed=0), premises=[])
         assert report.passed
         assert report.cases == 0
+
+
+# SHA-256 of report.to_json() at model_count=4, seeds 0-2: at the default
+# cap a passing report holds only its counts, so its three seeds share one
+# digest; at cap 2 each skip line names the model, the binding and the
+# claim whose instance hit the cap
+PINNED_REPORTS = {
+    ("axioms", DEFAULT_ENUMERATION_CAP): 3 * [
+        "90eca3b1eeda13ef0bb0a0045fa165151a62fe1d2ef495941407aa056cab15de",
+    ],
+    ("axioms", 2): [
+        "d1dd079a85870884e6ae7ddf173321c2fc0f41303cfe2788519e1015ceed8b2b",
+        "bc5e46587d7e729ca04bdad820729fd719e04b2396a50b4ecdac2b846aa8348c",
+        "34d6a6a1e4154b3aa35b33a8003dd4e6737c42803236bdf7215159a904461a35",
+    ],
+    ("rules", DEFAULT_ENUMERATION_CAP): 3 * [
+        "f452a880959d48b574ffcdae3abe4c687d88041f5fa7dee6aa4ee7a016cbb268",
+    ],
+    ("rules", 2): [
+        "1eedb96b5923a85262cfcde1fb2e2dba1fe13663600490e4dc8dac13e2a5c9d0",
+        "425b68e05544a538fbf3ab72d5988e000aba163be7c7c0cb9a5d66203dbb9f41",
+        "0f34b4bedb735aa8eace9b60953ec741047ba632c61befc9b54dd92ff840d21e",
+    ],
+    ("theorems", DEFAULT_ENUMERATION_CAP): 3 * [
+        "7cf07dfc20ae7cdccbca7cb118b334f2c8cf4cb1ef0123fa308d9ab80d15d504",
+    ],
+    ("theorems", 2): [
+        "9b2d1bda09fd0223a68c4e3b42adbea5b7bd4c3069892bb073d8046e8654f513",
+        "079b4a6182b90aca4b32c31e6a1660622fb6869136606d62c3a30a9aab2beef9",
+        "70548747daafd5773fa86415ff0c2b74a504da4df2be691623de9547fafaea6d",
+    ],
+}
+
+
+@pytest.mark.parametrize("suite, cap", PINNED_REPORTS, ids=str)
+def test_schema_suite_draws_are_pinned(suite, cap):
+    run = {"axioms": run_axiom_suite, "rules": run_rule_suite, "theorems": run_theorem_suite}[suite]
+    digests = [
+        hashlib.sha256(
+            run(SuiteConfig(seed=seed, model_count=4, enumeration_cap=cap)).to_json().encode()
+        ).hexdigest()
+        for seed in range(3)
+    ]
+    assert digests == PINNED_REPORTS[suite, cap]
 
 
 class TestQuantifierRuleSuite:
